@@ -15,7 +15,7 @@
 //!
 //! Flags / environment:
 //! * `--smoke` — tiny populations (`50,200`) and 20 s of simulated
-//!   time, for CI;
+//!   time, for CI; prints the table and writes nothing;
 //! * `--large` — append the `n = 100_000` cell;
 //! * `--stretch` — append the `n = 1_000_000` cell (indexed only;
 //!   expect minutes);
@@ -23,7 +23,7 @@
 //!   defaults, composes with `--large`/`--stretch`),
 //! * `MOBIC_FAST` — shrink simulated time from 60 s to 20 s.
 //!
-//! Writes `results/BENCH_scaling.json`.
+//! A full run writes `results/BENCH_scaling.json` and its manifest.
 
 use std::time::Instant;
 
@@ -188,6 +188,9 @@ fn main() {
         });
     }
     println!("{}", table.render());
+    if args.smoke {
+        return;
+    }
     let path = mobic_bench::results_dir().join("BENCH_scaling.json");
     match mobic_metrics::report::write_json(&rows, &path) {
         Ok(()) => println!("(wrote {})", path.display()),

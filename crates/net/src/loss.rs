@@ -6,8 +6,6 @@
 //! ablations: how does the mobility metric — which needs *two
 //! successive* receptions per neighbor — degrade when hellos drop?
 
-use std::collections::BTreeMap;
-
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
@@ -37,7 +35,8 @@ pub enum LossState {
     /// RNG stream position plus per-link burst state
     /// ([`GilbertElliott`]). Links are stored as
     /// `(tx, rx, in_bad_state)` in ascending `(tx, rx)` order — the
-    /// `BTreeMap` iteration order, so serialization is canonical.
+    /// model's rows walked by transmitter, each by receiver — so
+    /// serialization is canonical.
     Burst {
         /// ChaCha word position as `(hi, lo)` 64-bit halves.
         word_pos: (u64, u64),
@@ -215,6 +214,16 @@ impl LossModel for Bernoulli {
 /// probability `p_bg`. Bursty loss is the worst case for the
 /// "two successive hellos" requirement, making this the stress model
 /// for the MOBIC metric.
+///
+/// # Layout
+///
+/// Link state lives in one row per transmitter, indexed by
+/// [`NodeId::index`]: the row holds `(rx, in_bad_state)` for every
+/// receiver the transmitter has reached, sorted by `rx`. A query is
+/// one binary search in its transmitter's row; a link seen for the
+/// first time is a sorted insert, in the Good state. Walking the rows
+/// in order yields the links in ascending `(tx, rx)` order, the order
+/// [`LossState::Burst`] stores them in.
 #[derive(Debug, Clone)]
 pub struct GilbertElliott {
     p_gb: f64,
@@ -222,9 +231,33 @@ pub struct GilbertElliott {
     loss_good: f64,
     loss_bad: f64,
     rng: ChaCha12Rng,
-    // Keyed lookup only (never iterated), but a `BTreeMap` keeps the
-    // whole crate free of hasher-dependent containers by construction.
-    bad: BTreeMap<(NodeId, NodeId), bool>,
+    /// `links[tx]` is transmitter `tx`'s row, strictly ascending by
+    /// receiver; a transmitter not yet seen may have no row.
+    links: Vec<Vec<(NodeId, bool)>>,
+}
+
+/// The burst state of link `tx → rx`, inserted Good on first sight.
+fn link_state(links: &mut Vec<Vec<(NodeId, bool)>>, tx: NodeId, rx: NodeId) -> &mut bool {
+    let t = tx.index();
+    if t >= links.len() {
+        add_rows(links, t);
+    }
+    let row = &mut links[t];
+    let k = match row.binary_search_by_key(&rx, |&(id, _)| id) {
+        Ok(k) => k,
+        Err(k) => {
+            row.insert(k, (rx, false));
+            k
+        }
+    };
+    &mut row[k].1
+}
+
+// lint:cold-path: the row table grows only when a transmitter id is
+// first seen, at most once per id per run
+/// Extends the row table with empty rows up to and including row `t`.
+fn add_rows(links: &mut Vec<Vec<(NodeId, bool)>>, t: usize) {
+    links.resize_with(t + 1, Vec::new);
 }
 
 impl GilbertElliott {
@@ -252,7 +285,7 @@ impl GilbertElliott {
             loss_good,
             loss_bad,
             rng,
-            bad: BTreeMap::new(),
+            links: Vec::new(),
         }
     }
 
@@ -267,7 +300,7 @@ impl GilbertElliott {
 
 impl LossModel for GilbertElliott {
     fn delivered(&mut self, tx: NodeId, rx: NodeId, _at: SimTime) -> bool {
-        let state = self.bad.entry((tx, rx)).or_insert(false);
+        let state = link_state(&mut self.links, tx, rx);
         // Transition first, then sample loss in the new state.
         let flip: f64 = self.rng.gen();
         if *state {
@@ -289,9 +322,10 @@ impl LossModel for GilbertElliott {
         LossState::Burst {
             word_pos: word_pos_parts(&self.rng),
             bad: self
-                .bad
+                .links
                 .iter()
-                .map(|(&(tx, rx), &b)| (tx.value(), rx.value(), b))
+                .zip(0u32..)
+                .flat_map(|(row, tx)| row.iter().map(move |&(rx, b)| (tx, rx.value(), b)))
                 .collect(),
         }
     }
@@ -303,16 +337,20 @@ impl LossModel for GilbertElliott {
         } = state
         {
             self.rng.set_word_pos(join_word_pos(*hi, *lo));
-            self.bad = bad
-                .iter()
-                .map(|&(tx, rx, b)| ((NodeId::new(tx), NodeId::new(rx)), b))
-                .collect();
+            // One upsert per entry: an unsorted list sorts itself, and
+            // of a link listed twice the later entry wins.
+            self.links.clear();
+            for &(tx, rx, b) in bad {
+                *link_state(&mut self.links, NodeId::new(tx), NodeId::new(rx)) = b;
+            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use mobic_sim::rng::SeedSplitter;
 
@@ -529,5 +567,180 @@ mod tests {
         let mut m = NoLoss;
         m.restore_state(&LossState::Rng { word_pos: (0, 99) });
         assert!(m.delivered(n(0), n(1), SimTime::ZERO));
+    }
+
+    /// The `BTreeMap`-keyed model the per-transmitter rows replaced,
+    /// kept verbatim as their oracle.
+    #[derive(Debug, Clone)]
+    struct BTreeGilbertElliott {
+        p_gb: f64,
+        p_bg: f64,
+        loss_good: f64,
+        loss_bad: f64,
+        rng: ChaCha12Rng,
+        bad: BTreeMap<(NodeId, NodeId), bool>,
+    }
+
+    impl BTreeGilbertElliott {
+        fn new(p_gb: f64, p_bg: f64, loss_good: f64, loss_bad: f64, rng: ChaCha12Rng) -> Self {
+            BTreeGilbertElliott {
+                p_gb,
+                p_bg,
+                loss_good,
+                loss_bad,
+                rng,
+                bad: BTreeMap::new(),
+            }
+        }
+    }
+
+    impl LossModel for BTreeGilbertElliott {
+        fn delivered(&mut self, tx: NodeId, rx: NodeId, _at: SimTime) -> bool {
+            let state = self.bad.entry((tx, rx)).or_insert(false);
+            // Transition first, then sample loss in the new state.
+            let flip: f64 = self.rng.gen();
+            if *state {
+                if flip < self.p_bg {
+                    *state = false;
+                }
+            } else if flip < self.p_gb {
+                *state = true;
+            }
+            let loss = if *state {
+                self.loss_bad
+            } else {
+                self.loss_good
+            };
+            self.rng.gen::<f64>() >= loss
+        }
+
+        fn save_state(&self) -> LossState {
+            LossState::Burst {
+                word_pos: word_pos_parts(&self.rng),
+                bad: self
+                    .bad
+                    .iter()
+                    .map(|(&(tx, rx), &b)| (tx.value(), rx.value(), b))
+                    .collect(),
+            }
+        }
+
+        fn restore_state(&mut self, state: &LossState) {
+            if let LossState::Burst {
+                word_pos: (hi, lo),
+                bad,
+            } = state
+            {
+                self.rng.set_word_pos(join_word_pos(*hi, *lo));
+                self.bad = bad
+                    .iter()
+                    .map(|&(tx, rx, b)| ((NodeId::new(tx), NodeId::new(rx)), b))
+                    .collect();
+            }
+        }
+    }
+
+    /// The rows give every verdict, and every saved state, the B-tree
+    /// gives: random hellos (a random transmitter heard by an
+    /// ascending subset of up to 40 nodes) drive both models from one
+    /// seed, and at random points both states are compared and a
+    /// fresh model restored from them joins the run.
+    #[test]
+    fn flat_rows_match_btree_oracle() {
+        for case in 0..128u64 {
+            let mut rng = SeedSplitter::new(case).stream("gilbert-elliott-rows", 0);
+            let n = rng.gen_range(2..=40u32);
+            let hearing = rng.gen_range(0.05..1.0);
+            let [p_gb, p_bg, loss_good, loss_bad] = [(); 4].map(|()| rng.gen_range(0.0..=1.0));
+            let seed = rng.gen::<u64>();
+            let stream = || SeedSplitter::new(seed).stream("loss", 0);
+            let mut flat = GilbertElliott::new(p_gb, p_bg, loss_good, loss_bad, stream());
+            let mut oracle = BTreeGilbertElliott::new(p_gb, p_bg, loss_good, loss_bad, stream());
+            let mut resumed: Option<GilbertElliott> = None;
+            for hello in 0..300u64 {
+                let tx = rng.gen_range(0..n);
+                let at = SimTime::from_secs(hello);
+                for rx in (0..n).filter(|&rx| rx != tx) {
+                    if !rng.gen_bool(hearing) {
+                        continue;
+                    }
+                    let (tx, rx) = (NodeId::new(tx), NodeId::new(rx));
+                    let want = oracle.delivered(tx, rx, at);
+                    assert_eq!(
+                        flat.delivered(tx, rx, at),
+                        want,
+                        "case {case} hello {hello}: {tx}->{rx}"
+                    );
+                    if let Some(r) = resumed.as_mut() {
+                        let got = r.delivered(tx, rx, at);
+                        assert_eq!(got, want, "resumed, case {case} hello {hello}: {tx}->{rx}");
+                    }
+                }
+                if rng.gen_range(0..25) == 0 {
+                    let state = oracle.save_state();
+                    assert_eq!(flat.save_state(), state, "case {case} hello {hello}");
+                    if let Some(r) = &resumed {
+                        assert_eq!(r.save_state(), state, "resumed, case {case} hello {hello}");
+                    }
+                    let mut fresh = GilbertElliott::new(p_gb, p_bg, loss_good, loss_bad, stream());
+                    fresh.restore_state(&state);
+                    resumed = Some(fresh);
+                }
+            }
+            let state = oracle.save_state();
+            assert_eq!(flat.save_state(), state, "case {case} at the end");
+            if let Some(r) = &resumed {
+                assert_eq!(r.save_state(), state, "resumed, case {case} at the end");
+            }
+        }
+    }
+
+    /// A hand-edited or foreign state may list links out of order and
+    /// more than once: it loads as the B-tree's `collect` loaded it,
+    /// sorted, with the later of two entries for a link winning.
+    #[test]
+    fn unsorted_state_with_a_duplicate_restores_like_the_btree() {
+        let bad = vec![
+            (3, 1, true),
+            (0, 2, false),
+            (3, 0, false),
+            (1, 4, true),
+            (3, 1, false),
+            (0, 1, true),
+            (5, 2, true),
+        ];
+        let state = LossState::Burst {
+            word_pos: (0, 48),
+            bad,
+        };
+        let mut flat = GilbertElliott::new(0.2, 0.3, 0.1, 0.9, rng(13));
+        let mut oracle = BTreeGilbertElliott::new(0.2, 0.3, 0.1, 0.9, rng(13));
+        flat.restore_state(&state);
+        oracle.restore_state(&state);
+        let LossState::Burst { bad, .. } = flat.save_state() else {
+            panic!("a Gilbert–Elliott model saves a burst state");
+        };
+        assert_eq!(
+            bad,
+            vec![
+                (0, 1, true),
+                (0, 2, false),
+                (1, 4, true),
+                (3, 0, false),
+                (3, 1, false),
+                (5, 2, true),
+            ]
+        );
+        assert_eq!(flat.save_state(), oracle.save_state());
+        for i in 0..200u32 {
+            let (tx, rx) = (n(i % 6), n((i / 6) % 6));
+            let at = SimTime::from_secs(u64::from(i));
+            assert_eq!(
+                flat.delivered(tx, rx, at),
+                oracle.delivered(tx, rx, at),
+                "draw {i}"
+            );
+        }
+        assert_eq!(flat.save_state(), oracle.save_state());
     }
 }

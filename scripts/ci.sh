@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, docs, tier-1 build+tests, the benchmark's
-# own gate, the ledger's work counts, a smoke run of the
+# CI gate: formatting, lints, docs, tier-1 build+tests, the two
+# lossy-path ablation goldens, the benchmark's own gate, the ledger's
+# work counts, a smoke run of the
 # brute-vs-indexed scaling bench (which asserts result equality, so a
 # regression in either event-loop path fails the script), a checkpoint
 # kill/resume drill (run -> SIGKILL -> resume -> byte-compare), and a
@@ -56,6 +57,21 @@ echo "== tier-1: build + tests =="
 cargo build --release
 cargo test --workspace -q
 
+echo "== lossy-path goldens (ablation_loss + ablation_collisions regenerate byte for byte) =="
+# Both bins write results/<name>.csv under the working directory: run
+# them from a temp dir at the goldens' own settings (5 seeds, full
+# horizon, whatever MOBIC_SEEDS/MOBIC_FAST say) and compare with the
+# checked-in CSVs. A change to the loss models, the MAC collision rule
+# or anything they feed fails here.
+GOLDEN_DIR="$(mktemp -d)"
+trap 'rm -rf "$GOLDEN_DIR"' EXIT
+cargo build --release -q -p mobic-bench --bin ablation_loss --bin ablation_collisions
+BIN_DIR="$PWD/target/release"
+for bin in ablation_loss ablation_collisions; do
+    (cd "$GOLDEN_DIR" && env -u MOBIC_FAST MOBIC_SEEDS=5 "$BIN_DIR/$bin" >/dev/null)
+    cmp "results/$bin.csv" "$GOLDEN_DIR/results/$bin.csv"
+done
+
 echo "== benchmark gate (offline build, tests, fmt, lint, four-workload smoke) =="
 # benchmark/ builds the library crates from this tree and calls the
 # mobility and geometry APIs directly, so a change under crates/ that
@@ -93,7 +109,7 @@ cargo test --release -p mobic-scenario sweep -q
 
 echo "== resume smoke (interrupted sweep continues from cell files) =="
 RESUME_DIR="$(mktemp -d)"
-trap 'rm -rf "$RESUME_DIR"' EXIT
+trap 'rm -rf "$GOLDEN_DIR" "$RESUME_DIR"' EXIT
 cargo run --release -p mobic-cli -- sweep \
     --nodes 10 --time 30 --tx-sweep 150:200:50 --seeds 2 \
     --algorithms lcc --out "$RESUME_DIR" >/dev/null
@@ -112,7 +128,7 @@ cargo test --release --test checkpoint_equivalence -q
 # cleanup handler — exactly the crash the snapshots exist for) and
 # prove the rerun resumes and reproduces the reference bytes.
 CKPT_DIR="$(mktemp -d)"
-trap 'rm -rf "$RESUME_DIR" "$CKPT_DIR"' EXIT
+trap 'rm -rf "$GOLDEN_DIR" "$RESUME_DIR" "$CKPT_DIR"' EXIT
 CKPT_ARGS=(run --nodes 80 --time 600 --algorithm mobic --seed 7 --json)
 cargo build --release -q -p mobic-cli
 ./target/release/mobic-cli "${CKPT_ARGS[@]}" > "$CKPT_DIR/ref.json"
@@ -144,7 +160,7 @@ SWEEPD_LOG="$SWEEPD_DIR/sweepd.log"
 SWEEPD_PID=""
 cleanup() {
     if [ -n "$SWEEPD_PID" ]; then kill "$SWEEPD_PID" 2>/dev/null || true; fi
-    rm -rf "$RESUME_DIR" "$CKPT_DIR" "$SWEEPD_DIR"
+    rm -rf "$GOLDEN_DIR" "$RESUME_DIR" "$CKPT_DIR" "$SWEEPD_DIR"
 }
 trap cleanup EXIT
 cargo build --release -q -p mobic-sweepd -p mobic-cli
