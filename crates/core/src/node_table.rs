@@ -221,6 +221,37 @@ impl NodeTable {
         self.expected_degree = expected_degree;
     }
 
+    /// Checks a packed table, as a snapshot carries it, against a run
+    /// of `n` nodes: every per-node vector holds `n` entries and every
+    /// neighbor table names only nodes below `n`. The retired `dirty`
+    /// flags are dropped on unpack, so their length does not matter.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable reason for the first mismatch.
+    pub fn check_packed(&self, n: usize) -> Result<(), String> {
+        let lens = [
+            ("nodes", self.nodes.len()),
+            ("tables", self.tables.len()),
+            ("alive", self.alive.len()),
+            ("deaf", self.deaf.len()),
+            ("mute", self.mute.len()),
+        ];
+        if let Some((name, len)) = lens.into_iter().find(|&(_, len)| len != n) {
+            return Err(format!(
+                "node table `{name}` has {len} entries for {n} nodes"
+            ));
+        }
+        for (i, table) in self.tables.iter().enumerate() {
+            if let Some(id) = table.entries.keys().find(|id| id.index() >= n) {
+                return Err(format!(
+                    "neighbor table of node {i} names {id}, but the run has {n} nodes"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     // lint:hot-path — per-hello entry points of the steady-state loop;
     // everything below runs for every (hello, receiver) pair.
     /// Records a received hello into node `i`'s table.

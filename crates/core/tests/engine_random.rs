@@ -2,6 +2,10 @@
 //! random event sequences (hellos with arbitrary adverts, expiries,
 //! time jumps) and checking that its *local* invariants hold no matter
 //! what the network throws at it.
+#![expect(
+    clippy::disallowed_types,
+    reason = "a `HashMap` of per-sender sequence numbers is a test oracle; it is only looked up, never iterated"
+)]
 
 use mobic_core::{
     AlgorithmKind, ClusterAdvert, ClusterConfig, ClusterNode, ClusterTable, Role, RoleTag,

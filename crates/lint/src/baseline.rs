@@ -396,7 +396,7 @@ mod tests {
     #[test]
     fn stale_entries_become_notes() {
         let b = parse(
-            "{\"version\":1,\"findings\":[{\"rule\":\"panic-in-lib\",\
+            "{\"version\":1,\"findings\":[{\"rule\":\"hot-path-alloc\",\
              \"file\":\"gone.rs\",\"message\":\"old\"}]}",
         )
         .expect("parses");

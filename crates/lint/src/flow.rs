@@ -17,12 +17,12 @@
 //!   it is fine while reaching one through a merely *exempt* file
 //!   (bench, cli, sweepd, `sweep.rs`) is laundering. Findings fire
 //!   for functions of result-affecting crates whose reach is
-//!   **indirect** — direct hits are the per-line rule's job.
+//!   **indirect** — direct hits are clippy's `disallowed-*` job.
 //! * **`panic-reachability`** — seeds are explicit aborts and bare
 //!   `.unwrap()`; findings fire for `pub` functions of
-//!   `panic_entry` crates. Indirect reach always fires; direct hits
-//!   fire only where the per-line `panic-in-lib` rule does not apply
-//!   (e.g. `sweepd`), so nothing is double-reported.
+//!   `panic_entry` crates, whether they reach a sink directly or
+//!   through calls. In the typed-error crates clippy denies the direct
+//!   hits as well, so on a clean tree nothing is reported twice.
 //! * **`hot-path-call-alloc`** — seeds are direct allocations;
 //!   `// lint:cold-path` functions absorb (a blessed amortized
 //!   boundary); findings fire at call sites inside `lint:hot-path`
@@ -228,12 +228,6 @@ fn panic_reachability(graph: &Graph, findings: &mut Vec<Finding>) {
         if !policy.panic_entry {
             continue;
         }
-        // Direct hits are already findings wherever the per-line
-        // `panic-in-lib` rule runs; report them here only for the
-        // `panic_entry` crates without per-line coverage (sweepd).
-        if reach.is_direct(f.id) && policy.typed_errors {
-            continue;
-        }
         let witness = reach.witness(graph, f.id);
         let last = &witness[witness.len() - 1];
         let mut finding = Finding::new(
@@ -372,14 +366,14 @@ mod tests {
     }
 
     #[test]
-    fn direct_entropy_is_left_to_the_per_line_rule() {
+    fn direct_entropy_is_left_to_clippy() {
         let f = run(&[(
             "crates/sim/src/engine.rs",
             "pub fn step() { let t = Instant::now(); }\n",
         )]);
         assert!(
             !f.iter().any(|x| x.rule == RuleId::TransitiveEntropy),
-            "direct sinks are the per-line rule's job: {f:?}"
+            "direct sinks are clippy's `disallowed-*` job: {f:?}"
         );
     }
 
@@ -412,29 +406,16 @@ mod tests {
     }
 
     #[test]
-    fn direct_panic_in_typed_error_crate_is_not_double_reported() {
-        let f = run(&[(
-            "crates/net/src/table.rs",
-            "pub fn merge() { x.unwrap(); }\n",
-        )]);
-        assert!(
-            !f.iter().any(|x| x.rule == RuleId::PanicReachability),
-            "per-line panic-in-lib already covers net: {f:?}"
-        );
-    }
-
-    #[test]
-    fn direct_panic_in_sweepd_pub_fn_fires() {
-        let f = run(&[(
-            "crates/sweepd/src/server.rs",
-            "pub fn serve() { sock.unwrap(); }\n",
-        )]);
-        let hits: Vec<&Finding> = f
-            .iter()
-            .filter(|x| x.rule == RuleId::PanicReachability)
-            .collect();
-        assert_eq!(hits.len(), 1, "{f:?}");
-        assert_eq!(hits[0].witness.len(), 1);
+    fn direct_panic_in_a_panic_entry_pub_fn_fires() {
+        for file in ["crates/sweepd/src/server.rs", "crates/net/src/table.rs"] {
+            let f = run(&[(file, "pub fn serve() { sock.unwrap(); }\n")]);
+            let hits: Vec<&Finding> = f
+                .iter()
+                .filter(|x| x.rule == RuleId::PanicReachability)
+                .collect();
+            assert_eq!(hits.len(), 1, "{file}: {f:?}");
+            assert_eq!(hits[0].witness.len(), 1);
+        }
     }
 
     #[test]

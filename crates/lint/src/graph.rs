@@ -170,7 +170,7 @@ impl Graph {
 
     /// `true` if a valid `lint:allow(rule)` covers `line` (1-based) or
     /// the line directly above it in `file` — the same two-line window
-    /// the per-line scanner uses.
+    /// the per-file scanner uses.
     #[must_use]
     pub fn allowed(&self, file: &str, line: usize, rule: RuleId) -> Option<&Allow> {
         let allows = self.allows.get(file)?;
@@ -449,8 +449,9 @@ fn extract_file(path: &str, source: &str, graph: &mut Graph) {
     }
 
     // Direct sinks: scan each body line owned by a function. A line
-    // blessed by `lint:allow` for the corresponding per-line *or*
-    // flow rule is not a seed — the suppression covers the site.
+    // blessed by `lint:allow` for the corresponding flow rule (or, for
+    // allocations, `hot-path-alloc`) is not a seed — the suppression
+    // covers the site.
     for (idx, line) in lines.iter().enumerate() {
         let Some(fid) = fn_at_line[idx] else {
             continue;
@@ -458,20 +459,17 @@ fn extract_file(path: &str, source: &str, graph: &mut Graph) {
         if is_test[idx] {
             continue;
         }
-        let allowed = |rules_pair: [RuleId; 2]| {
-            let window = directives.allows[idx].iter().chain(
-                idx.checked_sub(1)
-                    .map_or([].iter(), |p| directives.allows[p].iter()),
-            );
-            window
-                .into_iter()
-                .any(|a| rules_pair.contains(&a.rule))
-                .then_some(())
+        let allowed = |rules: &[RuleId]| {
+            directives.allows[idx]
+                .iter()
+                .chain(
+                    idx.checked_sub(1)
+                        .map_or([].iter(), |p| directives.allows[p].iter()),
+                )
+                .any(|a| rules.contains(&a.rule))
         };
         let f = &mut graph.fns[fid];
-        if f.entropy_sink.is_none()
-            && allowed([RuleId::AmbientEntropy, RuleId::TransitiveEntropy]).is_none()
-        {
+        if f.entropy_sink.is_none() && !allowed(&[RuleId::TransitiveEntropy]) {
             rules::scan_needles(&line.code, ENTROPY_NEEDLES, |n| {
                 if f.entropy_sink.is_none() {
                     f.entropy_sink = Some(SinkHit {
@@ -481,9 +479,7 @@ fn extract_file(path: &str, source: &str, graph: &mut Graph) {
                 }
             });
         }
-        if f.panic_sink.is_none()
-            && allowed([RuleId::PanicInLib, RuleId::PanicReachability]).is_none()
-        {
+        if f.panic_sink.is_none() && !allowed(&[RuleId::PanicReachability]) {
             rules::scan_needles(&line.code, FLOW_PANIC_NEEDLES, |n| {
                 if f.panic_sink.is_none() {
                     f.panic_sink = Some(SinkHit {
@@ -493,9 +489,7 @@ fn extract_file(path: &str, source: &str, graph: &mut Graph) {
                 }
             });
         }
-        if f.alloc_sink.is_none()
-            && allowed([RuleId::HotPathAlloc, RuleId::HotPathCallAlloc]).is_none()
-        {
+        if f.alloc_sink.is_none() && !allowed(&[RuleId::HotPathAlloc, RuleId::HotPathCallAlloc]) {
             rules::scan_needles(&line.code, HOT_ALLOC_NEEDLES, |n| {
                 if f.alloc_sink.is_none() {
                     f.alloc_sink = Some(SinkHit {
@@ -1026,7 +1020,7 @@ mod tests {
     fn allowed_sink_lines_do_not_seed() {
         let g = build_one(
             "pub fn timed() {\n\
-                 // lint:allow(ambient-entropy): operator progress meter\n\
+                 // lint:allow(transitive-entropy): operator progress meter\n\
                  let t = Instant::now();\n\
              }\n",
         );

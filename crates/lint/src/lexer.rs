@@ -389,10 +389,10 @@ mod tests {
 
     #[test]
     fn directives_live_in_comments() {
-        let l = split_lines("x(); // lint:allow(panic-in-lib): reason here\n");
+        let l = split_lines("x(); // lint:allow(hot-path-alloc): reason here\n");
         assert!(l[0]
             .comment
-            .contains("lint:allow(panic-in-lib): reason here"));
+            .contains("lint:allow(hot-path-alloc): reason here"));
         assert!(!l[0].code.contains("lint:allow"));
     }
 }

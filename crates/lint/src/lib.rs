@@ -1,17 +1,16 @@
-//! `mobic-lint`: a zero-external-dependency static-analysis pass that
-//! proves the workspace's determinism, no-panic, and zero-allocation
-//! invariants at the source level.
+//! `mobic-lint`: a zero-external-dependency static-analysis pass for
+//! the workspace invariants that clippy cannot check.
 //!
-//! The runtime equivalence suites (`fast_path_equivalence`,
-//! `checkpoint_equivalence`, `trace_determinism`) catch a
-//! nondeterminism bug only after it fires on a covered path; this
-//! crate enforces the underlying invariants *statically*, before the
-//! code ever runs, and does so with nothing but the standard library —
-//! so it builds and executes even where the cargo registry is
-//! unreachable and clippy cannot.
+//! Clippy enforces the per-line bans (`clippy.toml`'s
+//! `disallowed-types`/`disallowed-methods`, and the panic lints the
+//! typed-error crates deny). What it cannot see is a property of a
+//! *region* or a *call chain*, or of the manifests: an allocation
+//! inside a `lint:hot-path` region, a clock or panic reached through
+//! any number of calls, a package resolved at two versions. Those are
+//! this crate's.
 //!
-//! The analysis runs in two phases. Phase 1 is per-line: [`lexer`]
-//! (code/comment shadows) → [`rules`] (scoped token rules + `lint:`
+//! The analysis runs in two phases. Phase 1 is per-file: [`lexer`]
+//! (code/comment shadows) → [`rules`] (hot-path regions + `lint:`
 //! directives) → [`deps`] (offline `Cargo.lock`/manifest policy).
 //! Phase 2 is flow-aware: [`graph`] (function items + conservative
 //! intra-workspace call graph) → [`flow`] (fixpoint reachability for
@@ -41,7 +40,7 @@ use std::path::{Path, PathBuf};
 /// metadata.
 #[derive(Debug)]
 pub struct Analysis {
-    /// All findings, in file-walk order (per-line rules) followed by
+    /// All findings, in file-walk order (per-file rules) followed by
     /// graph/flow findings.
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.

@@ -25,10 +25,12 @@ fn usage() -> &'static str {
     "usage: mobic-lint [--root <path>] [--json | --fix-plan | --graph-json]\n\
      \x20                 [--baseline <file>] [--emit-baseline]\n\
      \n\
-     Scans the workspace for violations of the determinism, no-panic,\n\
-     zero-alloc, artifact-write, and dependency-policy invariants,\n\
-     including the call-graph flow rules (transitive-entropy,\n\
-     panic-reachability, hot-path-call-alloc).\n\
+     Scans the workspace for allocations in `lint:hot-path` regions,\n\
+     malformed `lint:` directives and dependency-policy violations, and\n\
+     runs the call-graph flow rules (transitive-entropy,\n\
+     panic-reachability, hot-path-call-alloc). The per-line bans on hash\n\
+     containers, clocks, the environment, panics and raw writes are\n\
+     clippy's (`clippy.toml`).\n\
      \n\
        --root <path>     workspace root (default: nearest [workspace] manifest)\n\
        --json            machine-readable output\n\

@@ -303,15 +303,6 @@ pub fn render_graph_json(graph: &Graph, analysis: &Analysis) -> String {
 /// One-line remediation guidance per rule, shown in the fix plan.
 fn rule_fix_hint(rule: RuleId) -> &'static str {
     match rule {
-        RuleId::NondeterministicIteration => {
-            "Replace with `BTreeMap`/`BTreeSet`, or sort before iterating."
-        }
-        RuleId::AmbientEntropy => {
-            "Draw randomness from a `SeedSplitter` stream; route timing through \
-             `mobic_trace::profile`."
-        }
-        RuleId::PanicInLib => "Return the typed error (`RunError`, `io::Error`) instead.",
-        RuleId::RawArtifactWrite => "Write through `mobic_trace::write_atomic` or a `TraceSink`.",
         RuleId::HotPathAlloc => {
             "Reuse a scratch buffer owned by the caller, or move the allocation out \
              of the region."
@@ -361,13 +352,13 @@ mod tests {
         Analysis {
             findings: vec![
                 Finding::new(
-                    RuleId::PanicInLib,
+                    RuleId::HotPathAlloc,
                     "crates/net/src/x.rs",
                     7,
-                    "`unwrap` in library code".to_string(),
+                    "allocation in hot-path region: `Vec::new`".to_string(),
                 ),
                 Finding {
-                    rule: RuleId::AmbientEntropy,
+                    rule: RuleId::HotPathCallAlloc,
                     file: "crates/sim/src/y.rs".to_string(),
                     line: 3,
                     message: "wall-clock \"read\"".to_string(),
@@ -398,8 +389,8 @@ mod tests {
     fn json_escapes_quotes_and_separates_tiers() {
         let json = render_json(&sample());
         assert!(json.contains("\\\"read\\\""));
-        assert!(json.contains("\"findings\":[{\"rule\":\"panic-in-lib\""));
-        assert!(json.contains("\"suppressed\":[{\"rule\":\"ambient-entropy\""));
+        assert!(json.contains("\"findings\":[{\"rule\":\"hot-path-alloc\""));
+        assert!(json.contains("\"suppressed\":[{\"rule\":\"hot-path-call-alloc\""));
         assert!(json.contains("\"baselined\":[{\"rule\":\"transitive-entropy\""));
         assert!(json.contains("\"reason\":\"progress timer\""));
         assert!(json.contains("\"files_scanned\":2"));
@@ -413,7 +404,7 @@ mod tests {
     #[test]
     fn human_output_lists_all_tiers_and_witness_hops() {
         let text = render_human(&sample());
-        assert!(text.contains("error[panic-in-lib]"));
+        assert!(text.contains("error[hot-path-alloc]"));
         assert!(text.contains("crates/net/src/x.rs:7"));
         assert!(text.contains("suppressed findings (1):"));
         assert!(text.contains("baselined findings (1):"));
@@ -425,9 +416,12 @@ mod tests {
     #[test]
     fn fix_plan_groups_by_rule_and_renders_witness_chains() {
         let plan = render_fix_plan(&sample());
-        assert!(plan.contains("## panic-in-lib (1)"));
+        assert!(plan.contains("## hot-path-alloc (1)"));
         assert!(plan.contains("- [ ] `crates/net/src/x.rs:7`"));
-        assert!(!plan.contains("ambient-entropy (1)"), "suppressed excluded");
+        assert!(
+            !plan.contains("hot-path-call-alloc (1)"),
+            "suppressed excluded"
+        );
         assert!(!plan.contains("old known laundering"), "baselined excluded");
         assert!(plan.contains("## panic-reachability (1)"));
         assert!(

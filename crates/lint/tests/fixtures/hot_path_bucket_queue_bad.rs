@@ -1,18 +1,18 @@
-// Fixture: a calendar-queue sketch that allocates inside its marked
-// push/pop region — the exact class of regression the extended
+// Fixture: a bucketed event-queue sketch that allocates inside its
+// marked push/pop region — the exact class of regression the
 // `hot-path-alloc` coverage polices. Never compiled.
-pub struct Calendar {
+pub struct BucketQueue {
     buckets: Vec<Vec<(u64, u64)>>,
     overflow: Vec<(u64, u64)>,
     width_us: u64,
 }
 
-// lint:hot-path — calendar push/pop must reuse bucket storage
-impl Calendar {
+// lint:hot-path — push/pop must reuse bucket storage
+impl BucketQueue {
     pub fn push(&mut self, time_us: u64, seq: u64) {
         let slot = (time_us / self.width_us) as usize;
         if slot >= self.buckets.len() {
-            // Growing the wheel per push allocates on the hot path.
+            // Growing the buckets per push allocates on the hot path.
             self.buckets.push(Vec::new());
         }
         self.buckets[slot % self.buckets.len()].push((time_us, seq));

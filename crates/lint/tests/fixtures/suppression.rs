@@ -1,25 +1,27 @@
-// Fixture: exercises the `lint:allow` suppression grammar. Never
-// compiled.
+// Fixture: exercises the `lint:allow` suppression grammar inside a
+// hot-path region. Never compiled.
 
+// lint:hot-path
 // Case 1: valid allow with a reason, on the same line — suppressed.
-pub fn same_line(x: Option<u32>) -> u32 {
-    x.unwrap() // lint:allow(panic-in-lib): fixture demonstrates same-line suppression
+pub fn same_line() -> Vec<u32> {
+    Vec::new() // lint:allow(hot-path-alloc): fixture demonstrates same-line suppression
 }
 
 // Case 2: valid allow on the preceding line — suppressed.
-pub fn previous_line(x: Option<u32>) -> u32 {
-    // lint:allow(panic-in-lib): fixture demonstrates preceding-line suppression
-    x.unwrap()
+pub fn previous_line() -> Vec<u32> {
+    // lint:allow(hot-path-alloc): fixture demonstrates preceding-line suppression
+    Vec::new()
 }
 
 // Case 3: missing reason — the allow is rejected (directive error)
 // AND the underlying finding stays unsuppressed.
-pub fn missing_reason(x: Option<u32>) -> u32 {
-    x.unwrap() // lint:allow(panic-in-lib)
+pub fn missing_reason() -> Vec<u32> {
+    Vec::new() // lint:allow(hot-path-alloc)
 }
 
 // Case 4: unknown rule name — directive error.
-pub fn unknown_rule(x: Option<u32>) -> u32 {
+pub fn unknown_rule() -> Vec<u32> {
     // lint:allow(no-such-rule): typo'd rule names must not silently suppress
-    x.unwrap()
+    Vec::new()
 }
+// lint:end-hot-path

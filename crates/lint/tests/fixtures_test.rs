@@ -1,6 +1,7 @@
-//! Per-rule fixture coverage: every rule has a violating fixture that
-//! must produce unsuppressed findings (so the binary would exit
-//! nonzero on it) and a clean twin that must produce none.
+//! Per-rule fixture coverage for the per-file rules: each has a
+//! violating fixture that must produce unsuppressed findings (so the
+//! binary would exit nonzero on it) and a clean twin that must produce
+//! none. The flow rules have theirs in `flow_fixtures_test.rs`.
 
 use mobic_lint::{deps, rules_for_path, scan_source, Finding, RuleId};
 
@@ -20,95 +21,6 @@ fn unsuppressed(findings: &[Finding], rule: RuleId) -> usize {
         .iter()
         .filter(|f| f.rule == rule && !f.suppressed)
         .count()
-}
-
-#[test]
-fn nondeterministic_iteration_fixture_pair() {
-    let bad = scan_fixture(
-        include_str!("fixtures/nondeterministic_iteration_bad.rs"),
-        "crates/core/src/fixture.rs",
-    );
-    // Two container types across several lines; at minimum the two
-    // `use`-line hits.
-    assert!(
-        unsuppressed(&bad, RuleId::NondeterministicIteration) >= 2,
-        "{bad:?}"
-    );
-
-    let clean = scan_fixture(
-        include_str!("fixtures/nondeterministic_iteration_clean.rs"),
-        "crates/core/src/fixture.rs",
-    );
-    assert!(clean.is_empty(), "{clean:?}");
-}
-
-#[test]
-fn ambient_entropy_fixture_pair() {
-    let bad = scan_fixture(
-        include_str!("fixtures/ambient_entropy_bad.rs"),
-        "crates/sim/src/fixture.rs",
-    );
-    // thread_rng, Instant (x2 incl. elapsed binding line), SystemTime,
-    // env::var — at least 4 distinct sites.
-    assert!(unsuppressed(&bad, RuleId::AmbientEntropy) >= 4, "{bad:?}");
-
-    let clean = scan_fixture(
-        include_str!("fixtures/ambient_entropy_clean.rs"),
-        "crates/sim/src/fixture.rs",
-    );
-    assert!(clean.is_empty(), "{clean:?}");
-}
-
-#[test]
-fn panic_in_lib_fixture_pair() {
-    let bad = scan_fixture(
-        include_str!("fixtures/panic_in_lib_bad.rs"),
-        "crates/net/src/fixture.rs",
-    );
-    // unwrap, expect, panic!, todo!, unimplemented! — five sites.
-    assert!(unsuppressed(&bad, RuleId::PanicInLib) >= 5, "{bad:?}");
-
-    let clean = scan_fixture(
-        include_str!("fixtures/panic_in_lib_clean.rs"),
-        "crates/net/src/fixture.rs",
-    );
-    assert!(clean.is_empty(), "{clean:?}");
-}
-
-#[test]
-fn raw_artifact_write_fixture_pair() {
-    let bad = scan_fixture(
-        include_str!("fixtures/raw_artifact_write_bad.rs"),
-        "crates/metrics/src/fixture.rs",
-    );
-    assert!(unsuppressed(&bad, RuleId::RawArtifactWrite) >= 3, "{bad:?}");
-
-    let clean = scan_fixture(
-        include_str!("fixtures/raw_artifact_write_clean.rs"),
-        "crates/metrics/src/fixture.rs",
-    );
-    assert!(clean.is_empty(), "{clean:?}");
-}
-
-#[test]
-fn snapshot_raw_write_fixture_pair() {
-    // Checkpoint snapshots are restart-critical artifacts: a torn
-    // `.ckpt` silently degrades a resume to a cold start, so the
-    // raw-artifact-write rule must cover the snapshot-writer shape
-    // under `crates/scenario/` (header + payload, rotation) exactly as
-    // it covers result/trace writers.
-    let bad = scan_fixture(
-        include_str!("fixtures/snapshot_raw_write_bad.rs"),
-        "crates/scenario/src/fixture.rs",
-    );
-    // File::create, fs::write, OpenOptions append — three sites.
-    assert!(unsuppressed(&bad, RuleId::RawArtifactWrite) >= 3, "{bad:?}");
-
-    let clean = scan_fixture(
-        include_str!("fixtures/snapshot_raw_write_clean.rs"),
-        "crates/scenario/src/fixture.rs",
-    );
-    assert!(clean.is_empty(), "{clean:?}");
 }
 
 #[test]
@@ -133,52 +45,23 @@ fn hot_path_alloc_fixture_pair() {
 }
 
 #[test]
-fn hot_path_calendar_fixture_pair() {
-    // The calendar-queue push/pop shape: the bad twin grows the wheel
-    // and formats a label inside the region (`Vec::new`, `format!`,
-    // `.collect` → at least 3 sites); the clean twin pre-sizes at
-    // construction and only moves entries between existing buffers.
+fn hot_path_bucket_queue_fixture_pair() {
+    // A bucketed queue's push/pop shape: the bad twin grows the
+    // buckets and formats a label inside the region (`Vec::new`,
+    // `format!`, `.collect` → at least 3 sites); the clean twin
+    // pre-sizes at construction and only moves entries between
+    // existing buffers.
     let bad = scan_fixture(
-        include_str!("fixtures/hot_path_calendar_bad.rs"),
+        include_str!("fixtures/hot_path_bucket_queue_bad.rs"),
         "crates/sim/src/fixture.rs",
     );
     assert!(unsuppressed(&bad, RuleId::HotPathAlloc) >= 3, "{bad:?}");
 
     let clean = scan_fixture(
-        include_str!("fixtures/hot_path_calendar_clean.rs"),
+        include_str!("fixtures/hot_path_bucket_queue_clean.rs"),
         "crates/sim/src/fixture.rs",
     );
     assert!(clean.is_empty(), "{clean:?}");
-}
-
-#[test]
-fn sweepd_path_fixture_pair() {
-    // Clocks and host parallelism are blessed under `crates/sweepd/`
-    // (operator infrastructure), so the "clean" fixture is full of
-    // tokens that would fire anywhere result-affecting…
-    let clean = scan_fixture(
-        include_str!("fixtures/sweepd_blessed_clean.rs"),
-        "crates/sweepd/src/fixture.rs",
-    );
-    assert!(clean.is_empty(), "{clean:?}");
-    // …and the same source under a result-affecting path proves the
-    // exemption is the path, not the tokens.
-    let elsewhere = scan_fixture(
-        include_str!("fixtures/sweepd_blessed_clean.rs"),
-        "crates/sim/src/fixture.rs",
-    );
-    assert!(
-        unsuppressed(&elsewhere, RuleId::AmbientEntropy) >= 2,
-        "{elsewhere:?}"
-    );
-
-    // Raw artifact writes stay banned for sweepd: the cell cache must
-    // go through `write_atomic`.
-    let bad = scan_fixture(
-        include_str!("fixtures/sweepd_raw_write_bad.rs"),
-        "crates/sweepd/src/fixture.rs",
-    );
-    assert!(unsuppressed(&bad, RuleId::RawArtifactWrite) >= 2, "{bad:?}");
 }
 
 #[test]
@@ -202,9 +85,9 @@ fn suppression_fixture_covers_the_grammar() {
     assert!(findings
         .iter()
         .any(|f| f.rule == RuleId::Directive && f.message.contains("unknown rule")));
-    // The reasonless and unknown-rule unwraps stay live.
+    // The reasonless and unknown-rule allocations stay live.
     assert_eq!(
-        unsuppressed(&findings, RuleId::PanicInLib),
+        unsuppressed(&findings, RuleId::HotPathAlloc),
         2,
         "{findings:?}"
     );
@@ -250,8 +133,8 @@ fn violating_fixtures_would_exit_nonzero() {
     // prove the link for one representative fixture of each polarity.
     let bad = mobic_lint::Analysis {
         findings: scan_fixture(
-            include_str!("fixtures/panic_in_lib_bad.rs"),
-            "crates/net/src/fixture.rs",
+            include_str!("fixtures/hot_path_alloc_bad.rs"),
+            "crates/geom/src/fixture.rs",
         ),
         files_scanned: 1,
         functions: 0,
@@ -261,8 +144,8 @@ fn violating_fixtures_would_exit_nonzero() {
 
     let clean = mobic_lint::Analysis {
         findings: scan_fixture(
-            include_str!("fixtures/panic_in_lib_clean.rs"),
-            "crates/net/src/fixture.rs",
+            include_str!("fixtures/hot_path_alloc_clean.rs"),
+            "crates/geom/src/fixture.rs",
         ),
         files_scanned: 1,
         functions: 0,

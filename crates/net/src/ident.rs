@@ -88,6 +88,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "checks that `NodeId` implements `Hash`"
+    )]
     fn usable_in_collections() {
         use std::collections::{BTreeSet, HashSet};
         let b: BTreeSet<NodeId> = [2, 1, 3].map(NodeId::new).into_iter().collect();

@@ -1174,6 +1174,22 @@ pub(crate) struct RunState {
 }
 
 impl RunState {
+    /// Checks a snapshot's state against a run of `n` nodes: every
+    /// per-node vector holds `n` entries and every neighbor-table key
+    /// is below `n`, so a forged or mismatched payload is refused
+    /// before it can index out of bounds.
+    pub(crate) fn check_shape(&self, n: usize) -> Result<(), String> {
+        let lens = [
+            ("positions", self.positions.len()),
+            ("last_arrival", self.last_arrival.len()),
+            ("pending", self.pending.len()),
+        ];
+        if let Some((name, len)) = lens.into_iter().find(|&(_, len)| len != n) {
+            return Err(format!("`{name}` has {len} entries for {n} nodes"));
+        }
+        self.node_table.check_packed(n)
+    }
+
     /// The state at time zero. Every growth-prone container is
     /// pre-sized from the config so the event loop appends without
     /// reallocating: the series see one sample per broadcast interval,

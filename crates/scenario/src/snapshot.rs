@@ -55,7 +55,7 @@ use mobic_trace::{fnv1a64, write_atomic, TraceCursor};
 use serde::{Deserialize, Serialize};
 
 use crate::config::CheckpointPolicy;
-use crate::runner::{config_hash_for, Ev, RunState};
+use crate::runner::{config_hash_for, Ev, FaultAction, RunState};
 use crate::{DeliveryPath, Recluster, ScenarioConfig, Scheduler};
 
 /// On-disk snapshot schema version. Bumped on any incompatible change
@@ -144,6 +144,13 @@ impl SimSnapshot {
     /// checkpoint cadence may differ — they never change results, so a
     /// snapshot taken under one value may resume under another.
     ///
+    /// Then checks the state's shape against `cfg.n_nodes`: every
+    /// per-node vector has one entry per node, and every node id the
+    /// snapshot names (queued hellos and fault targets, neighbor-table
+    /// keys, Gilbert–Elliott links) is below `n_nodes`. The file's
+    /// hash proves only that the payload is intact, not who wrote it,
+    /// so a payload that passes it can still be the wrong shape.
+    ///
     /// # Errors
     ///
     /// Returns a human-readable reason on mismatch.
@@ -160,6 +167,36 @@ impl SimSnapshot {
                 "snapshot config hash {} != semantic hash {expected} of the resume config",
                 self.envelope.config_hash
             ));
+        }
+        let n = cfg.n_nodes as usize;
+        self.state.check_shape(n)?;
+        for (_, _, ev) in &self.envelope.queue {
+            let node = match *ev {
+                Ev::Hello(id) => id.index(),
+                Ev::Fault(
+                    FaultAction::Revive { node }
+                    | FaultAction::Join { node }
+                    | FaultAction::Restore { node, .. },
+                ) => node,
+                Ev::Sample | Ev::Fault(FaultAction::Crash { .. } | FaultAction::Impair { .. }) => {
+                    continue
+                }
+            };
+            if node >= n {
+                return Err(format!(
+                    "queued event {ev:?} names node {node}, but the run has {n} nodes"
+                ));
+            }
+        }
+        if let LossState::Burst { bad, .. } = &self.envelope.loss {
+            if let Some((tx, rx, _)) = bad
+                .iter()
+                .find(|&&(tx, rx, _)| tx as usize >= n || rx as usize >= n)
+            {
+                return Err(format!(
+                    "loss state names link {tx} -> {rx}, but the run has {n} nodes"
+                ));
+            }
         }
         Ok(())
     }
@@ -394,10 +431,14 @@ pub fn latest_snapshot(dir: &Path) -> (Option<SimSnapshot>, u32) {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "plants corrupt and truncated snapshots on purpose"
+)]
 mod tests {
     use super::*;
     use crate::{
-        run_scenario, run_scenario_checkpointed, run_scenario_until, LossKind, RunOutcome,
+        run_scenario, run_scenario_checkpointed, run_scenario_until, LossKind, RunError, RunOutcome,
     };
     use mobic_trace::NullSink;
 
@@ -423,6 +464,20 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Writes `payload` under a header that matches it (schema, length
+    /// and hash recomputed), the way anyone can forge a snapshot file.
+    fn write_forged(path: &Path, payload: &str) {
+        let mut bytes = serde_json::to_vec(&Header {
+            schema: SNAPSHOT_SCHEMA,
+            hash: payload_hash(payload.as_bytes()),
+            len: payload.len() as u64,
+        })
+        .unwrap();
+        bytes.push(b'\n');
+        bytes.extend_from_slice(payload.as_bytes());
+        fs::write(path, &bytes).unwrap();
     }
 
     #[test]
@@ -452,22 +507,106 @@ mod tests {
         let snap = suspend(&cfg, 7, 60);
         let payload = serde_json::to_string(&snap).unwrap();
         let payload = payload.replacen('{', r#"{"window_start":12345,"#, 1);
-        let mut bytes = serde_json::to_vec(&Header {
-            schema: SNAPSHOT_SCHEMA,
-            hash: payload_hash(payload.as_bytes()),
-            len: payload.len() as u64,
-        })
-        .unwrap();
-        bytes.push(b'\n');
-        bytes.extend_from_slice(payload.as_bytes());
         let dir = tmp_dir("retired-key");
         let path = dir.join("s.ckpt");
-        fs::write(&path, &bytes).unwrap();
+        write_forged(&path, &payload);
         let loaded = load_snapshot(&path).unwrap();
         assert_eq!(loaded.events_processed(), 60);
         let resumed =
             run_scenario_checkpointed(&cfg, 7, None, Some(loaded), &mut NullSink).unwrap();
         assert_eq!(serde_json::to_string(&resumed).unwrap(), reference);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn forged_payload_of_the_wrong_shape_is_refused() {
+        // Each payload passes the header, schema, length and hash
+        // gates and the seed and config-hash checks; only its shape
+        // disagrees with `n_nodes`. Restored, a short vector would
+        // index out of bounds and a foreign id would size a table by
+        // it, so the gate must refuse each one as a mismatch, which
+        // callers answer with a cold start.
+        use serde_json::Value;
+        fn at<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+            let Value::Object(map) = v else {
+                panic!("`{key}` of a non-object")
+            };
+            map.get_mut(key).unwrap()
+        }
+        fn items(v: &mut Value) -> &mut Vec<Value> {
+            let Value::Array(items) = v else {
+                panic!("not an array")
+            };
+            items
+        }
+        fn json(text: &str) -> Value {
+            serde_json::from_str(text).unwrap()
+        }
+        let mut cfg = small_cfg();
+        cfg.loss = LossKind::BurstyPreset;
+        let n = u64::from(cfg.n_nodes);
+        let snap = suspend(&cfg, 7, 60);
+        let good = serde_json::to_value(&snap).unwrap();
+        /// Edits a good payload for a run of `n` nodes.
+        type Forge = fn(&mut Value, u64);
+        let forgeries: [(&str, Forge); 8] = [
+            ("positions cut to 3", |v, _| {
+                items(at(v, "positions")).truncate(3);
+            }),
+            ("last_arrival one long", |v, _| {
+                items(at(v, "last_arrival")).push(Value::Null);
+            }),
+            ("pending one short", |v, _| {
+                items(at(v, "pending")).pop();
+            }),
+            ("alive one short", |v, _| {
+                items(at(at(v, "node_table"), "alive")).pop();
+            }),
+            ("a neighbor keyed n", |v, n| {
+                let tables = items(at(at(v, "node_table"), "tables"));
+                let Some(Value::Object(entries)) = tables
+                    .iter_mut()
+                    .map(|t| at(t, "entries"))
+                    .find(|e| e.as_object().is_some_and(|m| !m.is_empty()))
+                else {
+                    panic!("every neighbor table is empty")
+                };
+                let entry = entries.values().next().unwrap().clone();
+                entries.insert(n.to_string(), entry);
+            }),
+            ("a hello from node n", |v, n| {
+                let hello = items(at(v, "queue"))
+                    .iter_mut()
+                    .find(|e| e.as_array().unwrap()[2].get("Hello").is_some())
+                    .unwrap();
+                items(hello)[2] = json(&format!(r#"{{"Hello":{n}}}"#));
+            }),
+            ("a revival of node n", |v, n| {
+                let first = &mut items(at(v, "queue"))[0];
+                items(first)[2] = json(&format!(r#"{{"Fault":{{"Revive":{{"node":{n}}}}}}}"#));
+            }),
+            ("a bursty link from node n", |v, n| {
+                *at(at(at(v, "loss"), "Burst"), "bad") = json(&format!("[[{n},0,true]]"));
+            }),
+        ];
+        let dir = tmp_dir("forged");
+        let path = dir.join("s.ckpt");
+        // The forging itself is sound: the untouched payload resumes.
+        write_forged(&path, &good.to_string());
+        let loaded = load_snapshot(&path).unwrap();
+        run_scenario_checkpointed(&cfg, 7, None, Some(loaded), &mut NullSink).unwrap();
+        for (what, forge) in forgeries {
+            let mut payload = good.clone();
+            forge(&mut payload, n);
+            write_forged(&path, &payload.to_string());
+            let loaded = load_snapshot(&path).unwrap_or_else(|e| panic!("{what}: {e}"));
+            match run_scenario_checkpointed(&cfg, 7, None, Some(loaded), &mut NullSink) {
+                Err(RunError::SnapshotMismatch { reason }) => {
+                    assert!(reason.contains("nodes"), "{what}: {reason}");
+                }
+                other => panic!("{what}: expected a mismatch, got {other:?}"),
+            }
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -197,6 +197,10 @@ pub fn run_batch_supervised_stats(
     if n_jobs == 0 {
         return (Vec::new(), BatchStats::default());
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sizes the job pool only; each job is an independent `(config, seed)` run, so per-run bytes cannot depend on it"
+    )]
     let workers = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(4)
@@ -703,6 +707,10 @@ pub fn run_cell_recoverable(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "writes a corrupt checkpoint on purpose"
+)]
 mod tests {
     use super::*;
     use mobic_core::AlgorithmKind;

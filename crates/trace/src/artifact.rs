@@ -26,6 +26,10 @@ use std::path::{Path, PathBuf};
 /// Returns any I/O error from directory creation, the temp-file write,
 /// or the rename. On error the destination is untouched (the stale
 /// temp file, if any, is removed on a best-effort basis).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "`write_atomic` itself: the raw write goes to a temp sibling that is renamed into place"
+)]
 pub fn write_atomic(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> io::Result<()> {
     let path = path.as_ref();
     if let Some(parent) = path.parent() {

@@ -1,12 +1,16 @@
 //! Scoped wall-clock phase profiling.
 //!
 //! This module is the workspace's **only** blessed home for wall-clock
-//! reads (`mobic-lint`'s `ambient-entropy` rule bans `Instant` and
-//! `SystemTime` everywhere else outside the operator tooling crates).
+//! reads (the root `clippy.toml` bans `Instant` and `SystemTime`
+//! everywhere else outside the operator tooling crates).
 //! Everything measured here flows exclusively into `#[serde(skip)]`
 //! fields — wall-clock numbers describe how fast a run executed, never
 //! what it computed, so they must not reach serialized `RunResult`
 //! artifacts.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one blessed wall-clock module; its timings are `#[serde(skip)]`-isolated from results"
+)]
 
 use std::fmt;
 use std::time::{Duration, Instant};

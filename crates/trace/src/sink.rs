@@ -141,6 +141,11 @@ impl<W: Write> JsonlSink<W> {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "an append-only JSONL stream cannot be written atomically, and is not a results artifact"
+)]
 impl JsonlSink<BufWriter<File>> {
     /// Creates (truncating) a trace file at `path`, with parent
     /// directories, buffered for per-event appends.
@@ -308,6 +313,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "plants a trace shorter than its cursor"
+    )]
     fn resume_truncates_tail_and_continues_byte_identically() {
         let dir = std::env::temp_dir().join("mobic-trace-resume-test");
         let path = dir.join("t.jsonl");

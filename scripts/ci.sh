@@ -35,12 +35,21 @@ echo "== fmt =="
 cargo fmt --all --check
 
 echo "== clippy =="
-# `unwrap_used`/`unreachable_pub` are the advisory tier from
-# `[workspace.lints]`: they warn in dev builds, while mobic-lint's
-# scoped `panic-in-lib` rule is the hard gate — so cap them back to
-# allow here to keep `-D warnings` from escalating the advisory tier.
+# The determinism and artifact bans live in `clippy.toml` (the root
+# file, plus a shorter one per operator crate) as `disallowed-types`
+# and `disallowed-methods`; the typed-error crates (net, scenario,
+# trace) deny the panic lints in their `lib.rs`. `unwrap_used` and
+# `unreachable_pub` in `[workspace.lints]` are an advisory tier that
+# warns in dev builds, so they are capped back to allow here to keep
+# `-D warnings` from escalating it; a crate-level `deny` outranks the
+# cap.
 cargo clippy --workspace --all-targets -- -D warnings \
     -A unreachable-pub -A clippy::unwrap-used
+# benchmark/ is a workspace of its own, outside the pass above. Clippy
+# finds the root `clippy.toml` from there, and this pass checks the
+# bans alone.
+python3 benchmark/run.py cargo clippy --release --all-targets -- \
+    -A clippy::all -D clippy::disallowed_types -D clippy::disallowed_methods
 
 echo "== rustdoc (broken links and missing docs are errors) =="
 # Same advisory-tier cap as clippy: the `[lints]` table reaches
