@@ -24,7 +24,7 @@ use std::path::PathBuf;
 
 use mobic_core::AlgorithmKind;
 use mobic_metrics::{report, AsciiTable};
-use mobic_scenario::{run_batch_manifested, summarize_cs, ScenarioConfig, SweepOutcome};
+use mobic_scenario::{manifest_for, run_batch, summarize_cs, ScenarioConfig, SweepOutcome};
 use mobic_trace::{write_manifests, RunManifest};
 
 /// Number of seeds per experiment cell (`MOBIC_SEEDS`, default 5).
@@ -98,8 +98,12 @@ impl SweepTable {
                 }
             }
         }
-        let (results, manifests) =
-            run_batch_manifested(&jobs).expect("experiment configs must be valid");
+        let results = run_batch(&jobs).expect("experiment configs must be valid");
+        let manifests = jobs
+            .iter()
+            .zip(&results)
+            .map(|((cfg, seed), r)| manifest_for(cfg, *seed, r))
+            .collect();
         let mut rows = Vec::new();
         let mut idx = 0;
         for &x in xs {

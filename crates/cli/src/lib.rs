@@ -60,10 +60,12 @@ pub enum Command {
         /// Directory for per-cell outcome JSON files (written
         /// atomically, one per `(algorithm, tx)` cell).
         out: Option<String>,
-        /// Skip cells whose outcome file already exists under `out`.
+        /// Skip cells whose outcome file under `out` has the cell's
+        /// shape (algorithm, x, seed count).
         resume: bool,
-        /// Soft per-run wall-clock deadline in seconds; switches the
-        /// sweep to the supervised batch executor.
+        /// Soft per-run wall-clock deadline in seconds. A cell with a
+        /// stuck or failing run is then warned about and skipped
+        /// instead of failing the sweep.
         deadline_s: Option<f64>,
         /// Submit the sweep to a `mobic-sweepd` service at this
         /// address instead of running locally; the client tails
@@ -152,12 +154,14 @@ CHECKPOINTING (run only; see OPERATIONS.md):
 ROBUSTNESS (sweep only):
   --out <dir>              write one JSON outcome file per sweep cell,
                            atomically (temp file + rename)
-  --resume                 skip cells whose outcome file already
-                           exists under --out (resume an interrupted
-                           sweep)
-  --deadline <s>           supervised execution: per-run soft
-                           deadline; stuck or panicking runs become
-                           per-job errors instead of hanging the sweep
+  --resume                 skip cells whose outcome file under --out
+                           has the cell's algorithm, x and seed count
+                           (resume an interrupted sweep)
+  --deadline <s>           per-run soft deadline; a cell with a stuck
+                           or panicking run is reported and skipped
+                           (shown as -, not written) instead of
+                           hanging or aborting the sweep. Not with
+                           --trace, whose runs are unsupervised
 
 SERVICE (sweep/drain):
   --server <addr>          submit the sweep to a mobic-sweepd service
@@ -327,6 +331,12 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 }
                 if resume && out.is_none() {
                     return Err(err("--resume needs --out <dir> to find prior cell files"));
+                }
+                if trace.is_some() && deadline_s.is_some() {
+                    return Err(err(
+                        "--trace runs each seed in turn without supervision; it \
+                         cannot be combined with --deadline",
+                    ));
                 }
                 if server.is_some()
                     && (out.is_some() || resume || trace.is_some() || deadline_s.is_some())
@@ -748,6 +758,9 @@ mod tests {
     fn resume_and_deadline_are_validated() {
         assert!(parse_err("sweep --resume").0.contains("--out"));
         assert!(parse_err("sweep --deadline 0").0.contains("positive"));
+        assert!(parse_err("sweep --trace d --deadline 60")
+            .0
+            .contains("--deadline"));
         assert!(parse_err("sweep --out --resume").0.contains("directory"));
     }
 

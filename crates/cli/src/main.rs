@@ -5,12 +5,11 @@ use std::path::Path;
 use std::time::Duration;
 
 use mobic_cli::{parse, usage, Command};
-use mobic_core::AlgorithmKind;
 use mobic_metrics::AsciiTable;
 use mobic_scenario::{
-    latest_snapshot, manifest_for, params, run_batch, run_batch_supervised,
-    run_scenario_checkpointed, run_scenario_instrumented, summarize_cs, ScenarioConfig,
-    SimSnapshot, Supervision, SweepOutcome, SweepSpec,
+    latest_snapshot, manifest_for, params, run_cell, run_scenario_checkpointed,
+    run_scenario_instrumented, summarize_cs, ScenarioConfig, SimSnapshot, Supervision,
+    SweepOutcome, SweepSpec,
 };
 use mobic_sweepd::http;
 use mobic_trace::{write_atomic, write_manifests, JsonlSink, NullSink, PhaseTimings};
@@ -112,116 +111,25 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             deadline_s,
             server,
         } => {
-            if let Some(addr) = &server {
-                return sweep_via_server(addr, &config, &tx_values, &algorithms, seeds);
-            }
-            let seed_list: Vec<u64> = (0..seeds).collect();
-            let mut header = vec!["Tx (m)".to_string()];
-            for alg in &algorithms {
-                header.push(format!("{} CS", alg.name()));
-                header.push(format!("{} clusters", alg.name()));
-            }
-            let mut table = AsciiTable::new(header);
-            let mut manifests = Vec::new();
-            let mut phase_total = PhaseTimings::default();
-            let out_dir = out.as_deref().map(Path::new);
-            for &tx in &tx_values {
-                let mut row = vec![format!("{tx:.0}")];
-                for &alg in &algorithms {
-                    let cell_path =
-                        out_dir.map(|d| d.join(format!("cell_{}_tx{tx:.0}.json", alg.name())));
-                    if resume {
-                        // A parseable cell file is a finished cell;
-                        // a truncated or missing one reruns (writes
-                        // are atomic, so truncation means pre-atomic
-                        // tooling or manual editing).
-                        if let Some(cell) = cell_path
-                            .as_ref()
-                            .and_then(|p| std::fs::read_to_string(p).ok())
-                            .and_then(|text| SweepOutcome::from_json(&text))
-                        {
-                            eprintln!("resume: {} tx {tx:.0} already done, skipping", alg.name());
-                            row.push(format!("{:.1}", cell.mean_cs));
-                            row.push(format!("{:.1}", cell.mean_clusters));
-                            continue;
-                        }
-                    }
-                    let jobs: Vec<_> = seed_list
-                        .iter()
-                        .map(|&s| (config.with_algorithm(alg).with_tx_range(tx), s))
-                        .collect();
-                    let runs = if let Some(limit) = deadline_s {
-                        // Supervised: a stuck or panicking run is
-                        // reported and dropped from the cell instead
-                        // of hanging or aborting the sweep.
-                        let sup = Supervision {
-                            soft_deadline: Some(Duration::from_secs_f64(limit)),
-                            ..Supervision::default()
-                        };
-                        let mut ok = Vec::with_capacity(jobs.len());
-                        for r in run_batch_supervised(&jobs, &sup) {
-                            match r {
-                                Ok(r) => ok.push(r),
-                                Err(e) => eprintln!("warning: {} tx {tx:.0}: {e}", alg.name()),
-                            }
-                        }
-                        ok
-                    } else if let Some(dir) = &trace {
-                        // Traced sweeps run sequentially: one JSONL
-                        // file per (algorithm, tx, seed) cell member.
-                        let dir = Path::new(dir);
-                        let mut runs = Vec::with_capacity(jobs.len());
-                        for (cfg, s) in &jobs {
-                            let file =
-                                dir.join(format!("trace_{}_tx{tx:.0}_seed{s}.jsonl", alg.name()));
-                            let mut sink = JsonlSink::create(&file)?;
-                            let r = run_scenario_instrumented(cfg, *s, |_| {}, &mut sink)?;
-                            sink.finish()?;
-                            manifests.push(manifest_for(cfg, *s, &r));
-                            runs.push(r);
-                        }
-                        runs
-                    } else {
-                        run_batch(&jobs)?
-                    };
-                    if profile {
-                        for r in &runs {
-                            phase_total.accumulate(&r.perf.phase_ms);
-                        }
-                    }
-                    if runs.is_empty() {
-                        eprintln!(
-                            "warning: {} tx {tx:.0}: no run survived; cell skipped",
-                            alg.name()
-                        );
-                        row.push("-".to_string());
-                        row.push("-".to_string());
-                        continue;
-                    }
-                    let cell = summarize_cs(tx, &runs);
-                    if let Some(path) = &cell_path {
-                        // `to_json_pretty` is the same canonical
-                        // serialization the sweepd cache stores, so
-                        // an `--out` dir doubles as a warm cache.
-                        write_atomic(path, cell.to_json_pretty())?;
-                    }
-                    row.push(format!("{:.1}", cell.mean_cs));
-                    row.push(format!("{:.1}", cell.mean_clusters));
-                }
-                table.row(row);
-            }
-            print!("{}", table.render());
-            if let Some(dir) = &trace {
-                let mpath = write_manifests(Path::new(dir).join("sweep.json"), &manifests)?;
-                eprintln!(
-                    "traces: {} files -> {dir}; manifest -> {}",
-                    manifests.len(),
-                    mpath.display()
-                );
-            }
-            if profile {
-                eprintln!("accumulated over all runs:\n{phase_total}");
-            }
+            let spec = SweepSpec {
+                base: config,
+                tx_values,
+                algorithms,
+                seeds,
+                fault_panic_attempts: 0,
+            };
+            let cells = match &server {
+                Some(addr) => sweep_via_server(addr, &spec)?,
+                None => sweep_locally(
+                    &spec,
+                    trace.as_deref().map(Path::new),
+                    out.as_deref().map(Path::new),
+                    resume,
+                    deadline_s,
+                    profile,
+                )?,
+            };
+            print!("{}", cs_table(&spec, &cells).render());
         }
     }
     Ok(())
@@ -274,24 +182,103 @@ fn resume_point(
     snap
 }
 
+/// Runs the sweep in this process, cell by cell in the spec's order,
+/// and returns each cell's outcome: `None` for a cell that failed
+/// under `--deadline`, which is reported and skipped rather than
+/// averaged over the seeds that survived.
+fn sweep_locally(
+    spec: &SweepSpec,
+    trace: Option<&Path>,
+    out: Option<&Path>,
+    resume: bool,
+    deadline_s: Option<f64>,
+    profile: bool,
+) -> Result<Vec<Option<SweepOutcome>>, Box<dyn std::error::Error>> {
+    spec.validate()?;
+    let supervision = Supervision {
+        soft_deadline: deadline_s.map(Duration::from_secs_f64),
+        ..Supervision::default()
+    };
+    let mut outcomes = Vec::new();
+    let mut manifests = Vec::new();
+    let mut phase_total = PhaseTimings::default();
+    for cell in spec.cells() {
+        let (alg, tx) = (cell.config.algorithm.name(), cell.x);
+        let cell_path = out.map(|d| d.join(cell.legacy_file_name()));
+        if resume {
+            // A parseable cell file of this cell's shape is a finished
+            // cell; a missing, truncated or differently shaped one
+            // (another seed count) reruns. Writes are atomic, so
+            // truncation means pre-atomic tooling or manual editing.
+            if let Some(done) = cell_path
+                .as_ref()
+                .and_then(|p| std::fs::read_to_string(p).ok())
+                .and_then(|text| SweepOutcome::from_json(&text))
+                .filter(|done| cell.has_shape_of(done))
+            {
+                eprintln!("resume: {alg} tx {tx:.0} already done, skipping");
+                outcomes.push(Some(done));
+                continue;
+            }
+        }
+        let outcome = if let Some(dir) = trace {
+            // Traced sweeps run sequentially: one JSONL file per
+            // (algorithm, tx, seed) cell member.
+            let mut runs = Vec::with_capacity(cell.seeds.len());
+            for &seed in &cell.seeds {
+                let file = dir.join(format!("trace_{alg}_tx{tx:.0}_seed{seed}.jsonl"));
+                let mut sink = JsonlSink::create(&file)?;
+                let run = run_scenario_instrumented(&cell.config, seed, |_| {}, &mut sink)?;
+                sink.finish()?;
+                manifests.push(manifest_for(&cell.config, seed, &run));
+                phase_total.accumulate(&run.perf.phase_ms);
+                runs.push(run);
+            }
+            summarize_cs(tx, &runs)
+        } else {
+            let (result, stats) = run_cell(&cell, &supervision, None);
+            phase_total.accumulate(&stats.phase_ms);
+            match result {
+                Ok(outcome) => outcome,
+                Err(e) if deadline_s.is_some() => {
+                    eprintln!("warning: {alg} tx {tx:.0}: {e}; cell skipped");
+                    outcomes.push(None);
+                    continue;
+                }
+                Err(e) => return Err(e.into()),
+            }
+        };
+        if let Some(path) = &cell_path {
+            // `to_json_pretty` is the same canonical serialization the
+            // sweepd cache stores, so an `--out` dir doubles as a warm
+            // cache.
+            write_atomic(path, outcome.to_json_pretty())?;
+        }
+        outcomes.push(Some(outcome));
+    }
+    if let Some(dir) = trace {
+        let mpath = write_manifests(dir.join("sweep.json"), &manifests)?;
+        eprintln!(
+            "traces: {} files -> {}; manifest -> {}",
+            manifests.len(),
+            dir.display(),
+            mpath.display()
+        );
+    }
+    if profile {
+        eprintln!("accumulated over all runs:\n{phase_total}");
+    }
+    Ok(outcomes)
+}
+
 /// Submits the sweep to a `mobic-sweepd` service, tails its progress,
-/// and renders the same CS table from the (cached or freshly
-/// computed) cells. The cells come back byte-identical to a local
-/// `mobic-cli sweep`, so the rendered table is identical too.
+/// and returns its cells in the spec's order. The cells come back
+/// byte-identical to a local `mobic-cli sweep`, so the rendered table
+/// is identical too.
 fn sweep_via_server(
     addr: &str,
-    config: &ScenarioConfig,
-    tx_values: &[f64],
-    algorithms: &[AlgorithmKind],
-    seeds: u64,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let spec = SweepSpec {
-        base: *config,
-        tx_values: tx_values.to_vec(),
-        algorithms: algorithms.to_vec(),
-        seeds,
-        fault_panic_attempts: 0,
-    };
+    spec: &SweepSpec,
+) -> Result<Vec<Option<SweepOutcome>>, Box<dyn std::error::Error>> {
     let (status, body) = http::request(addr, "POST", "/sweep", &spec.to_json())?;
     if status != 200 {
         return Err(format!("server rejected the sweep ({status}): {body}").into());
@@ -305,11 +292,11 @@ fn sweep_via_server(
                 .collect()
         })
         .unwrap_or_default();
-    if keys.len() != tx_values.len() * algorithms.len() {
+    let expected = spec.tx_values.len() * spec.algorithms.len();
+    if keys.len() != expected {
         return Err(format!(
-            "server returned {} cell keys, expected {}",
-            keys.len(),
-            tx_values.len() * algorithms.len()
+            "server returned {} cell keys, expected {expected}",
+            keys.len()
         )
         .into());
     }
@@ -340,7 +327,7 @@ fn sweep_via_server(
             }
         }
         if pending == 0 {
-            break;
+            return Ok(cells);
         }
         if let Ok((200, status_body)) = http::request(addr, "GET", "/status", "") {
             if let Ok(v) = serde_json::from_str::<serde_json::Value>(&status_body) {
@@ -356,18 +343,25 @@ fn sweep_via_server(
         }
         std::thread::sleep(Duration::from_millis(200));
     }
+}
+
+/// The sweep's CS table, one row per tx value, from its cells in the
+/// spec's order (tx outer, algorithm inner); a skipped cell shows `-`.
+fn cs_table(spec: &SweepSpec, cells: &[Option<SweepOutcome>]) -> AsciiTable {
     let mut header = vec!["Tx (m)".to_string()];
-    for alg in algorithms {
+    for alg in &spec.algorithms {
         header.push(format!("{} CS", alg.name()));
         header.push(format!("{} clusters", alg.name()));
     }
     let mut table = AsciiTable::new(header);
-    for (ti, tx) in tx_values.iter().enumerate() {
+    for (tx, row_cells) in spec
+        .tx_values
+        .iter()
+        .zip(cells.chunks(spec.algorithms.len()))
+    {
         let mut row = vec![format!("{tx:.0}")];
-        for ai in 0..algorithms.len() {
-            // Key order mirrors the spec's expansion: tx outer,
-            // algorithm inner.
-            match &cells[ti * algorithms.len() + ai] {
+        for cell in row_cells {
+            match cell {
                 Some(cell) => {
                     row.push(format!("{:.1}", cell.mean_cs));
                     row.push(format!("{:.1}", cell.mean_clusters));
@@ -380,6 +374,5 @@ fn sweep_via_server(
         }
         table.row(row);
     }
-    print!("{}", table.render());
-    Ok(())
+    table
 }

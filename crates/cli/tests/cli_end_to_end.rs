@@ -211,7 +211,7 @@ fn run_with_faults_reports_fault_counters_in_json() {
 fn sweep_out_writes_cell_files_and_resume_skips_them() {
     let dir = std::env::temp_dir().join("mobic-cli-resume-test");
     std::fs::remove_dir_all(&dir).ok();
-    let invoke = |resume: bool| {
+    let invoke_with = |seeds: &str, resume: bool| {
         let mut cmd = cli();
         cmd.args([
             "sweep",
@@ -222,7 +222,7 @@ fn sweep_out_writes_cell_files_and_resume_skips_them() {
             "--tx-sweep",
             "150:150:50",
             "--seeds",
-            "1",
+            seeds,
             "--algorithms",
             "lcc",
             "--out",
@@ -233,6 +233,7 @@ fn sweep_out_writes_cell_files_and_resume_skips_them() {
         }
         cmd.output().expect("spawn")
     };
+    let invoke = |resume: bool| invoke_with("1", resume);
     let first = invoke(false);
     assert!(
         first.status.success(),
@@ -256,6 +257,20 @@ fn sweep_out_writes_cell_files_and_resume_skips_them() {
     // The resumed sweep still prints the full table from the cells.
     let stdout = String::from_utf8(second.stdout).unwrap();
     assert!(stdout.contains("lcc CS"), "{stdout}");
+
+    // A resume with more seeds must not trust the 1-seed file: the
+    // cell is recomputed and rewritten with both runs.
+    let wider = invoke_with("2", true);
+    assert!(
+        wider.status.success(),
+        "{}",
+        String::from_utf8_lossy(&wider.stderr)
+    );
+    let stderr = String::from_utf8(wider.stderr).unwrap();
+    assert!(!stderr.contains("already done"), "{stderr}");
+    let text = std::fs::read_to_string(&cell).expect("cell file rewritten");
+    let parsed: serde_json::Value = serde_json::from_str(&text).expect("cell is JSON");
+    assert_eq!(parsed["runs"].as_u64(), Some(2), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -235,6 +235,33 @@ impl ClusterNode {
         self.undecided_since = Some(now);
     }
 
+    /// Checks the node ids this node's state names — its own, its
+    /// clusterhead's and its contenders' — against a run of `n` nodes
+    /// in which it sits at `index`, as a snapshot's gate must before
+    /// any of them is used as an index.
+    pub(crate) fn check_ids(&self, index: usize, n: usize) -> Result<(), String> {
+        if self.id.index() != index {
+            return Err(format!(
+                "node {index} of {n} nodes carries the id {}",
+                self.id
+            ));
+        }
+        let ch = match self.role {
+            Role::Member { ch } => Some(ch),
+            Role::Undecided | Role::Clusterhead => None,
+        };
+        match ch
+            .into_iter()
+            .chain(self.contention.keys().copied())
+            .find(|id| id.index() >= n)
+        {
+            Some(id) => Err(format!(
+                "the state of node {index} names {id}, but the run has {n} nodes"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// This node's id.
     #[must_use]
     pub fn id(&self) -> NodeId {

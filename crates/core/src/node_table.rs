@@ -222,9 +222,12 @@ impl NodeTable {
     }
 
     /// Checks a packed table, as a snapshot carries it, against a run
-    /// of `n` nodes: every per-node vector holds `n` entries and every
-    /// neighbor table names only nodes below `n`. The retired `dirty`
-    /// flags are dropped on unpack, so their length does not matter.
+    /// of `n` nodes: every per-node vector holds `n` entries, node `i`
+    /// has the id `i`, and every id a node's state or neighbor table
+    /// names (its clusterhead, its contenders, the neighbors and the
+    /// clusterheads their adverts name) is below `n`. The retired
+    /// `dirty` flags are dropped on unpack, so their length does not
+    /// matter.
     ///
     /// # Errors
     ///
@@ -242,8 +245,16 @@ impl NodeTable {
                 "node table `{name}` has {len} entries for {n} nodes"
             ));
         }
+        for (i, node) in self.nodes.iter().enumerate() {
+            node.check_ids(i, n)?;
+        }
         for (i, table) in self.tables.iter().enumerate() {
-            if let Some(id) = table.entries.keys().find(|id| id.index() >= n) {
+            let mut named = table
+                .entries
+                .iter()
+                .flat_map(|(&id, entry)| [Some(id), entry.payload.ch])
+                .flatten();
+            if let Some(id) = named.find(|id| id.index() >= n) {
                 return Err(format!(
                     "neighbor table of node {i} names {id}, but the run has {n} nodes"
                 ));

@@ -242,8 +242,7 @@ pub fn check(root: &Path) -> (Vec<Finding>, Vec<String>) {
         Err(_) => {
             notes.push(
                 "dep-policy: no Cargo.lock at the workspace root; duplicate-version \
-                 check skipped (run `cargo generate-lockfile` where the registry is \
-                 reachable to enable it)"
+                 check skipped (run `cargo generate-lockfile` to enable it)"
                     .to_string(),
             );
         }

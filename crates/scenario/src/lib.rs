@@ -22,10 +22,11 @@
 //! Above single runs,
 //! the sweep layer provides one parallel batch executor
 //! ([`run_batch_supervised`], with [`run_batch`] as its fail-fast
-//! form) that turns panicking or stuck jobs into typed [`JobError`]s,
-//! and the [`SweepSpec`]/[`SweepCell`] grid expansion with
-//! content-addressed cell keys ([`cell_key`]) shared by
-//! `mobic-cli sweep` and the `mobic-sweepd` service.
+//! form) that turns panicking or stuck jobs into typed [`JobError`]s
+//! and can checkpoint every job, the [`SweepSpec`]/[`SweepCell`] grid
+//! expansion with content-addressed cell keys ([`cell_key`]), and
+//! [`run_cell`], the one way a cell is computed, checkpointed or not,
+//! by `mobic-cli sweep` and the `mobic-sweepd` service alike.
 //!
 //! # Examples
 //!
@@ -75,7 +76,6 @@ pub use snapshot::{
     SimSnapshot, SnapshotError, SNAPSHOT_SCHEMA,
 };
 pub use sweep::{
-    cell_key, run_batch, run_batch_manifested, run_batch_supervised, run_batch_supervised_stats,
-    run_cell, run_cell_recoverable, run_cell_stats, summarize_cs, BatchStats, CellRecovery,
-    JobError, SpecError, Supervision, SweepCell, SweepOutcome, SweepSpec,
+    cell_key, run_batch, run_batch_supervised, run_cell, summarize_cs, BatchStats, JobError,
+    SpecError, Supervision, SweepCell, SweepOutcome, SweepSpec,
 };

@@ -211,7 +211,9 @@ pub struct AuditSummary {
 /// [`run_scenario`] itself produces `Config` and (under
 /// [`AuditMode::Strict`](crate::AuditMode)) `AuditFailed`; `Panicked`
 /// and `TimedOut` are attached by the supervised batch executor
-/// ([`run_batch_supervised`](crate::run_batch_supervised)), which
+/// ([`run_batch_supervised`](crate::run_batch_supervised), behind
+/// every [`run_batch`](crate::run_batch) and
+/// [`run_cell`](crate::run_cell) too), which
 /// catches worker panics and soft-deadline overruns instead of letting
 /// them abort the process.
 #[derive(Debug, Clone, PartialEq)]
@@ -1175,9 +1177,11 @@ pub(crate) struct RunState {
 
 impl RunState {
     /// Checks a snapshot's state against a run of `n` nodes: every
-    /// per-node vector holds `n` entries and every neighbor-table key
-    /// is below `n`, so a forged or mismatched payload is refused
-    /// before it can index out of bounds.
+    /// per-node vector holds `n` entries and every node id the state
+    /// carries — in the node table ([`NodeTable::check_packed`]), in
+    /// pending receptions and in healing probes' orphan lists — is
+    /// below `n`, so a forged or mismatched payload is refused before
+    /// it can index out of bounds.
     pub(crate) fn check_shape(&self, n: usize) -> Result<(), String> {
         let lens = [
             ("positions", self.positions.len()),
@@ -1186,6 +1190,19 @@ impl RunState {
         ];
         if let Some((name, len)) = lens.into_iter().find(|&(_, len)| len != n) {
             return Err(format!("`{name}` has {len} entries for {n} nodes"));
+        }
+        let pending = self
+            .pending
+            .iter()
+            .flatten()
+            .flat_map(|rx| [Some(rx.hello.sender), rx.hello.payload.ch])
+            .flatten()
+            .map(NodeId::index);
+        let orphans = self.probes.iter().flat_map(|p| p.orphans.iter().copied());
+        if let Some(id) = pending.chain(orphans).find(|&id| id >= n) {
+            return Err(format!(
+                "a pending reception or healing probe names node {id}, but the run has {n} nodes"
+            ));
         }
         self.node_table.check_packed(n)
     }

@@ -549,7 +549,14 @@ mod tests {
         let good = serde_json::to_value(&snap).unwrap();
         /// Edits a good payload for a run of `n` nodes.
         type Forge = fn(&mut Value, u64);
-        let forgeries: [(&str, Forge); 8] = [
+        /// A pending reception of a hello whose advert names `ch`.
+        fn reception(sender: u64, ch: u64) -> Value {
+            json(&format!(
+                r#"{{"at":0,"power":-60.0,"hello":{{"sender":{sender},"seq":1,
+                   "payload":{{"primary":0.0,"role":"Member","ch":{ch}}}}}}}"#
+            ))
+        }
+        let forgeries: [(&str, Forge); 15] = [
             ("positions cut to 3", |v, _| {
                 items(at(v, "positions")).truncate(3);
             }),
@@ -588,13 +595,53 @@ mod tests {
             ("a bursty link from node n", |v, n| {
                 *at(at(at(v, "loss"), "Burst"), "bad") = json(&format!("[[{n},0,true]]"));
             }),
+            ("node 0 carrying the id n", |v, n| {
+                let node = &mut items(at(at(v, "node_table"), "nodes"))[0];
+                *at(node, "id") = json(&n.to_string());
+            }),
+            ("node 0 a member of node n", |v, n| {
+                let node = &mut items(at(at(v, "node_table"), "nodes"))[0];
+                *at(node, "role") = json(&format!(r#"{{"Member":{{"ch":{n}}}}}"#));
+            }),
+            ("node 0 contending with node n", |v, n| {
+                let node = &mut items(at(at(v, "node_table"), "nodes"))[0];
+                *at(node, "contention") = json(&format!(r#"{{"{n}":0}}"#));
+            }),
+            ("an advert naming node n", |v, n| {
+                let tables = items(at(at(v, "node_table"), "tables"));
+                let Some(Value::Object(entries)) = tables
+                    .iter_mut()
+                    .map(|t| at(t, "entries"))
+                    .find(|e| e.as_object().is_some_and(|m| !m.is_empty()))
+                else {
+                    panic!("every neighbor table is empty")
+                };
+                let entry = entries.values_mut().next().unwrap();
+                *at(at(entry, "payload"), "ch") = json(&n.to_string());
+            }),
+            ("a pending reception from node n", |v, n| {
+                items(at(v, "pending"))[0] = reception(n, 0);
+            }),
+            ("a pending advert naming node n", |v, n| {
+                items(at(v, "pending"))[0] = reception(1, n);
+            }),
+            ("a healing probe orphaning node n", |v, n| {
+                *at(v, "probes") = json(&format!(r#"[{{"started":0,"orphans":[{n}]}}]"#));
+            }),
         ];
         let dir = tmp_dir("forged");
         let path = dir.join("s.ckpt");
-        // The forging itself is sound: the untouched payload resumes.
-        write_forged(&path, &good.to_string());
-        let loaded = load_snapshot(&path).unwrap();
-        run_scenario_checkpointed(&cfg, 7, None, Some(loaded), &mut NullSink).unwrap();
+        // The forging itself is sound: the untouched payload resumes,
+        // and so do in-range versions of the hand-built receptions
+        // and probe.
+        let mut in_range = good.clone();
+        items(at(&mut in_range, "pending"))[0] = reception(1, 0);
+        *at(&mut in_range, "probes") = json(r#"[{"started":0,"orphans":[1]}]"#);
+        for payload in [&good, &in_range] {
+            write_forged(&path, &payload.to_string());
+            let loaded = load_snapshot(&path).unwrap();
+            run_scenario_checkpointed(&cfg, 7, None, Some(loaded), &mut NullSink).unwrap();
+        }
         for (what, forge) in forgeries {
             let mut payload = good.clone();
             forge(&mut payload, n);

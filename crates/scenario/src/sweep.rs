@@ -1,7 +1,13 @@
 //! Multi-run parameter sweeps on one thread-parallel executor — the
-//! supervised one, which survives panicking or stuck jobs — and the
-//! sweep-spec layer (grid expansion + content-addressed cell
-//! keys) shared by `mobic-cli sweep` and the `mobic-sweepd` service.
+//! supervised one, which survives panicking or stuck jobs and can
+//! checkpoint them — and the sweep-spec layer (grid expansion +
+//! content-addressed cell keys) shared by `mobic-cli sweep` and the
+//! `mobic-sweepd` service.
+//!
+//! Three entry points: [`run_batch_supervised`] is the executor and
+//! gives every job a verdict, [`run_batch`] is its fail-fast form, and
+//! [`run_cell`] computes one sweep cell on it, the only way a cell is
+//! computed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -10,12 +16,12 @@ use std::time::Duration;
 
 use mobic_core::AlgorithmKind;
 use mobic_metrics::OnlineStats;
-use mobic_trace::{NullSink, RunManifest, Stopwatch};
+use mobic_trace::{NullSink, PhaseTimings, Stopwatch};
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    config_hash_for, latest_snapshot, manifest_for, run_scenario, run_scenario_checkpointed,
-    CheckpointPolicy, RunError, RunResult, ScenarioConfig,
+    config_hash_for, latest_snapshot, run_scenario, run_scenario_checkpointed, CheckpointPolicy,
+    RunError, RunResult, ScenarioConfig,
 };
 
 /// A batch job failure, carrying enough context to pinpoint the job
@@ -84,9 +90,9 @@ impl Default for Supervision {
     }
 }
 
-/// Thread-accounting for one supervised batch (see
-/// [`run_batch_supervised_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Thread, recovery and timing accounting for one supervised batch
+/// (see [`run_batch_supervised`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BatchStats {
     /// Worker threads still running after the end-of-batch grace
     /// period: each was abandoned by the soft-deadline watchdog and
@@ -94,12 +100,23 @@ pub struct BatchStats {
     /// nonzero count across many batches signals the deadline is set
     /// below real run times.
     pub leaked_workers: u32,
+    /// Checkpointed jobs that resumed from a valid snapshot instead of
+    /// starting cold.
+    pub resumed: u32,
+    /// Snapshots that could not be used — corrupt files skipped by
+    /// [`latest_snapshot`] plus snapshots rejected by the
+    /// `(config, seed)` compatibility gate — each degrading to an
+    /// older snapshot or a cold start, never to restored bad state.
+    pub fallbacks: u32,
+    /// Wall-clock phase timings summed over the jobs that succeeded.
+    pub phase_ms: PhaseTimings,
 }
 
 /// Runs every `(config, seed)` job on the supervised executor
-/// ([`run_batch_supervised`], default [`Supervision`]) and returns the
-/// results **in input order** (the parallelism is unobservable). An
-/// empty slice returns `Ok(vec![])` without spawning a single thread.
+/// ([`run_batch_supervised`], default [`Supervision`], no snapshots)
+/// and returns the results **in input order** (the parallelism is
+/// unobservable). An empty slice returns `Ok(vec![])` without spawning
+/// a single thread.
 ///
 /// # Errors
 ///
@@ -118,31 +135,10 @@ pub fn run_batch(jobs: &[(ScenarioConfig, u64)]) -> Result<Vec<RunResult>, JobEr
             error: e.into(),
         })?;
     }
-    run_batch_supervised(jobs, &Supervision::default())
+    run_batch_supervised(jobs, &Supervision::default(), None)
+        .0
         .into_iter()
         .collect()
-}
-
-/// Like [`run_batch`], but additionally returns one [`RunManifest`]
-/// per job (in the same input order), ready to be written next to the
-/// batch's results artifact via [`mobic_trace::write_manifests`].
-///
-/// Manifests are pure functions of each `(config, seed, result)`
-/// triple, so the parallel execution stays unobservable here too.
-///
-/// # Errors
-///
-/// Propagates errors exactly as [`run_batch`] does.
-pub fn run_batch_manifested(
-    jobs: &[(ScenarioConfig, u64)],
-) -> Result<(Vec<RunResult>, Vec<RunManifest>), JobError> {
-    let results = run_batch(jobs)?;
-    let manifests = jobs
-        .iter()
-        .zip(&results)
-        .map(|((cfg, seed), r)| manifest_for(cfg, *seed, r))
-        .collect();
-    Ok((results, manifests))
 }
 
 /// Extracts a human-readable message from a caught panic payload.
@@ -156,42 +152,40 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The supervised batch executor: every job runs under
-/// [`catch_unwind`] on its own worker thread, watched by a soft
-/// deadline, and **every** job gets a verdict — a panicking or stuck
-/// job becomes a per-job [`JobError`] while the healthy jobs' results
-/// return normally, in input order.
+/// The batch executor, and the only code that runs jobs on threads:
+/// every job runs under [`catch_unwind`] on its own worker thread,
+/// watched by a soft deadline, and **every** job gets a verdict — a
+/// panicking or stuck job becomes a per-job [`JobError`] while the
+/// healthy jobs' results return normally, in input order.
 ///
-/// [`run_batch`] runs on this executor too, but reduces the verdicts
-/// to the first failure; this is the entry point for long unattended
-/// sweeps where one poisoned cell must not take down the campaign.
-/// Timed-out worker threads are abandoned, not
-/// killed — they finish in the background and their late results are
+/// [`run_batch`] reduces the verdicts to the first failure and
+/// [`run_cell`] aggregates one cell's; this is the entry point for
+/// long unattended sweeps where one poisoned job must not take down
+/// the campaign. Timed-out worker threads are abandoned, not killed —
+/// they finish in the background and their late results are
 /// discarded, so a pathological job can hold memory until it
-/// completes, but never the batch.
+/// completes, but never the batch. At batch end every spawned thread
+/// is joined, waiting up to [`Supervision::join_grace`]; one that
+/// outlives the grace is counted in [`BatchStats::leaked_workers`], so
+/// operators (`mobic-sweepd`'s `/status`) see resource pressure
+/// instead of silently accumulating zombies.
+///
+/// With `checkpoint = Some((dir, policy))`, job `(config, seed)` keeps
+/// its snapshots in `<dir>/seed-<seed>/`: it resumes from the newest
+/// one there that passes [`latest_snapshot`]'s integrity gates and
+/// [`SimSnapshot::compatible_with`](crate::SimSnapshot::compatible_with)
+/// (degrading to older snapshots, then to a cold start), and publishes
+/// rotated snapshots at `policy`'s cadence through
+/// [`run_scenario_checkpointed`]. A resumed job returns the result an
+/// uninterrupted one would; [`BatchStats`] counts the resumes and the
+/// snapshots passed over.
 ///
 /// An empty `jobs` slice returns an empty vector without spawning a
 /// single thread.
 pub fn run_batch_supervised(
     jobs: &[(ScenarioConfig, u64)],
     supervision: &Supervision,
-) -> Vec<Result<RunResult, JobError>> {
-    run_batch_supervised_stats(jobs, supervision).0
-}
-
-/// [`run_batch_supervised`] plus thread accounting: the same verdicts,
-/// and a [`BatchStats`] saying how many abandoned worker threads were
-/// still running when the batch ended.
-///
-/// Every spawned thread is tracked; at batch end each one is joined,
-/// waiting up to [`Supervision::join_grace`] for stragglers. A thread
-/// that outlives the grace is *leaked* — left to finish in the
-/// background with its late result discarded — and counted, so
-/// operators (`mobic-sweepd`'s `/status`, the CLI sweep loop) can see
-/// resource pressure instead of silently accumulating zombies.
-pub fn run_batch_supervised_stats(
-    jobs: &[(ScenarioConfig, u64)],
-    supervision: &Supervision,
+    checkpoint: Option<(&Path, CheckpointPolicy)>,
 ) -> (Vec<Result<RunResult, JobError>>, BatchStats) {
     let n_jobs = jobs.len();
     if n_jobs == 0 {
@@ -210,34 +204,39 @@ pub fn run_batch_supervised_stats(
         config_hash: config_hash_for(&jobs[i].0),
         error,
     };
-    let (send, recv) = mpsc::channel::<(usize, Result<RunResult, RunError>)>();
+    let (send, recv) = mpsc::channel::<(usize, Result<RunResult, RunError>, BatchStats)>();
     let spawn_job = |i: usize| -> std::thread::JoinHandle<()> {
         let (cfg, seed) = jobs[i]; // `ScenarioConfig` is `Copy`
+        let snapshots = checkpoint.map(|(dir, policy)| (dir.join(format!("seed-{seed}")), policy));
         let sender = send.clone();
         let panics = supervision.panic_on == Some(i);
         let delay = supervision
             .delay_on
             .and_then(|(j, d)| (j == i).then_some(d));
         std::thread::spawn(move || {
+            let mut tally = BatchStats::default();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if let Some(d) = delay {
                     std::thread::sleep(d);
                 }
                 assert!(!panics, "supervision fault hook: deliberate panic");
-                run_scenario(&cfg, seed)
+                match &snapshots {
+                    None => run_scenario(&cfg, seed),
+                    Some((dir, policy)) => run_resumable(cfg, seed, dir, *policy, &mut tally),
+                }
             }));
-            let message = match outcome {
-                Ok(r) => r,
-                Err(payload) => Err(RunError::Panicked {
+            let message = outcome.unwrap_or_else(|payload| {
+                Err(RunError::Panicked {
                     message: panic_message(payload.as_ref()),
-                }),
-            };
+                })
+            });
             // The supervisor may have already timed this job out and
             // stopped listening; a dead channel is fine.
-            let _ = sender.send((i, message));
+            let _ = sender.send((i, message, tally));
         })
     };
 
+    let mut stats = BatchStats::default();
     let mut results: Vec<Option<Result<RunResult, JobError>>> = (0..n_jobs).map(|_| None).collect();
     // (job index, per-job stopwatch) of every live worker.
     let mut running: Vec<(usize, Stopwatch)> = Vec::new();
@@ -269,11 +268,16 @@ pub fn run_batch_supervised_stats(
             }
         };
         match message {
-            Some((i, r)) => {
+            Some((i, r, tally)) => {
                 running.retain(|&(j, _)| j != i);
                 if results[i].is_none() {
                     // A late result for an already timed-out job is
                     // discarded: the verdict stands.
+                    stats.resumed += tally.resumed;
+                    stats.fallbacks += tally.fallbacks;
+                    if let Ok(run) = &r {
+                        stats.phase_ms.accumulate(&run.perf.phase_ms);
+                    }
                     results[i] = Some(r.map_err(|e| job_error(i, e)));
                 }
             }
@@ -308,7 +312,6 @@ pub fn run_batch_supervised_stats(
     // before being counted as leaked. Verdicts are final either way —
     // late results were discarded above.
     let grace = Stopwatch::start();
-    let mut leaked_workers = 0u32;
     for handle in spawned {
         while !handle.is_finished() && !grace.remaining_of(supervision.join_grace).is_zero() {
             std::thread::sleep(Duration::from_millis(1));
@@ -316,7 +319,7 @@ pub fn run_batch_supervised_stats(
         if handle.is_finished() {
             let _ = handle.join();
         } else {
-            leaked_workers += 1;
+            stats.leaked_workers += 1;
         }
     }
     let verdicts = results
@@ -336,7 +339,38 @@ pub fn run_batch_supervised_stats(
             })
         })
         .collect();
-    (verdicts, BatchStats { leaked_workers })
+    (verdicts, stats)
+}
+
+/// One checkpointed job: resumes from the newest snapshot in `dir`
+/// that passes the integrity and compatibility gates, tallying the
+/// resume or every snapshot it passed over, and publishes rotated
+/// snapshots there at `policy`'s cadence.
+fn run_resumable(
+    cfg: ScenarioConfig,
+    seed: u64,
+    dir: &Path,
+    policy: CheckpointPolicy,
+    tally: &mut BatchStats,
+) -> Result<RunResult, RunError> {
+    let cfg = ScenarioConfig {
+        checkpoint: policy,
+        ..cfg
+    };
+    let resume = match latest_snapshot(dir) {
+        (Some(snap), rejected) if snap.compatible_with(&cfg, seed).is_ok() => {
+            tally.fallbacks += rejected;
+            tally.resumed += 1;
+            Some(snap)
+        }
+        // A stale snapshot from a different cell layout is passed
+        // over too: a cold start is always correct.
+        (stale, rejected) => {
+            tally.fallbacks += rejected + u32::from(stale.is_some());
+            None
+        }
+    };
+    run_scenario_checkpointed(&cfg, seed, Some(dir), resume, &mut NullSink)
 }
 
 /// Aggregated outcome of one sweep cell (one algorithm at one
@@ -454,8 +488,8 @@ impl std::error::Error for SpecError {}
 ///
 /// Expansion order is fixed (outer loop over `tx_values`, inner loop
 /// over `algorithms`, seeds `0..seeds` per cell) so a spec's cell
-/// list — and therefore the order of keys in a submit response — is
-/// deterministic and identical to the CLI's own sweep loop.
+/// list — and therefore the order of keys in a submit response and
+/// the rows of the CLI's table — is deterministic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// Base scenario; each cell overrides `tx_range_m` and
@@ -482,9 +516,15 @@ fn u32_is_zero(v: &u32) -> bool {
     *v == 0
 }
 
+/// The most runs (`tx_values × algorithms × seeds`) one spec may
+/// expand to: 2^17, whose seed ids (8 B each) fill 1 MiB, the size of
+/// the service's request cap.
+const MAX_SPEC_RUNS: u64 = 1 << 17;
+
 impl SweepSpec {
-    /// Checks the grid is non-empty and every expanded cell config
-    /// validates.
+    /// Checks the grid is non-empty, expands to at most 2^17 runs, and
+    /// every expanded cell config validates. The run count is checked
+    /// before anything is expanded.
     ///
     /// # Errors
     ///
@@ -498,6 +538,15 @@ impl SweepSpec {
         }
         if self.seeds == 0 {
             return Err(SpecError("seeds must be at least 1".to_string()));
+        }
+        let runs = [self.tx_values.len(), self.algorithms.len()]
+            .into_iter()
+            .try_fold(self.seeds, |acc, n| acc.checked_mul(u64::try_from(n).ok()?));
+        if runs.is_none_or(|runs| runs > MAX_SPEC_RUNS) {
+            return Err(SpecError(format!(
+                "the grid expands to more than {MAX_SPEC_RUNS} runs \
+                 (tx_values × algorithms × seeds)"
+            )));
         }
         for cell in self.cells() {
             cell.config
@@ -571,139 +620,56 @@ impl SweepCell {
     pub fn legacy_file_name(&self) -> String {
         format!("cell_{}_tx{:.0}.json", self.config.algorithm.name(), self.x)
     }
+
+    /// `true` when `outcome` has this cell's shape: its algorithm, its
+    /// x and one run per seed. A legacy file carries no key, so this is
+    /// the check that a `cell_*` file found by name (a `--resume` pass,
+    /// a warm sweepd cache) is an outcome of this cell and not of a
+    /// sweep with fewer seeds.
+    #[must_use]
+    pub fn has_shape_of(&self, outcome: &SweepOutcome) -> bool {
+        outcome.runs == self.seeds.len()
+            && outcome.algorithm == self.config.algorithm.name()
+            && outcome.x == self.x
+    }
 }
 
-/// Computes one cell under supervision: runs every seed, then
-/// aggregates with [`summarize_cs`]. The result is identical — byte
-/// for byte once serialized via [`SweepOutcome::to_json_pretty`] — to
-/// what `mobic-cli sweep` computes for the same cell, because both
-/// paths run the same `(config, seed)` jobs through `run_scenario`
-/// and the same aggregation.
+/// Computes one sweep cell: runs every seed on the supervised executor
+/// ([`run_batch_supervised`]), then aggregates with [`summarize_cs`].
+/// `mobic-cli sweep` and `mobic-sweepd` both compute cells here, so a
+/// cell's bytes, serialized via [`SweepOutcome::to_json_pretty`], are
+/// the same wherever it ran.
 ///
-/// # Errors
+/// With `checkpoint = Some((dir, policy))`, every seed keeps rotated
+/// snapshots in `<dir>/seed-<seed>/` and resumes from them after a
+/// crash or a kill (see [`run_batch_supervised`]); checkpointing
+/// changes how the value is evaluated, never the value, and the soft
+/// deadline applies as it does without a directory. On success the
+/// directory is removed (the outcome will be cached; the snapshots are
+/// dead weight). On failure it is kept so a retry resumes rather than
+/// recomputes.
 ///
-/// Returns the first failing seed's [`JobError`] (config, panic,
-/// timeout, or strict-audit verdicts); the cell has no partial
-/// outcome — callers retry or park it.
-pub fn run_cell(cell: &SweepCell, supervision: &Supervision) -> Result<SweepOutcome, JobError> {
-    run_cell_stats(cell, supervision).0
-}
-
-/// [`run_cell`] plus the batch's [`BatchStats`], so services can
-/// account for leaked worker threads per cell.
-pub fn run_cell_stats(
+/// The outcome is the first failing seed's [`JobError`] (config,
+/// panic, timeout, or strict-audit verdicts) if any seed fails: a cell
+/// has no partial outcome, so callers retry, park or skip it. The
+/// batch's [`BatchStats`] come back either way.
+pub fn run_cell(
     cell: &SweepCell,
     supervision: &Supervision,
+    checkpoint: Option<(&Path, CheckpointPolicy)>,
 ) -> (Result<SweepOutcome, JobError>, BatchStats) {
     let jobs: Vec<(ScenarioConfig, u64)> = cell.seeds.iter().map(|&s| (cell.config, s)).collect();
-    let (verdicts, stats) = run_batch_supervised_stats(&jobs, supervision);
-    let mut runs = Vec::with_capacity(verdicts.len());
-    for r in verdicts {
-        match r {
-            Ok(run) => runs.push(run),
-            Err(e) => return (Err(e), stats),
-        }
+    let (verdicts, stats) = run_batch_supervised(&jobs, supervision, checkpoint);
+    let outcome = verdicts
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .map(|runs| summarize_cs(cell.x, &runs));
+    if let (Ok(_), Some((dir, _))) = (&outcome, checkpoint) {
+        // Best-effort cleanup only: a leftover directory passes the
+        // integrity and compatibility gates again on any reuse.
+        let _ = std::fs::remove_dir_all(dir);
     }
-    (Ok(summarize_cs(cell.x, &runs)), stats)
-}
-
-/// Crash-recovery counters of one [`run_cell_recoverable`] attempt.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CellRecovery {
-    /// Seeds that resumed from a valid snapshot instead of starting
-    /// cold.
-    pub resumed: u32,
-    /// Snapshots that could not be used — corrupt files skipped by
-    /// [`latest_snapshot`] plus snapshots rejected by the
-    /// `(config, seed)` compatibility gate — each degrading to an
-    /// older snapshot or a cold start, never to restored-bad-state.
-    pub fallbacks: u32,
-}
-
-/// Computes one cell with crash-safe checkpointing: every seed runs
-/// through [`run_scenario_checkpointed`](crate::run_scenario_checkpointed),
-/// publishing rotated snapshots under `ckpt_dir/seed-<seed>/` at the
-/// cadence in `policy`, and — after a crash or a kill — resuming each
-/// seed from its newest snapshot that passes the integrity and
-/// compatibility gates (degrading to older snapshots, then to a cold
-/// start). The aggregated [`SweepOutcome`] is byte-identical to what
-/// [`run_cell`] computes for the same cell, whether or not any seed
-/// resumed: checkpointing changes how the value is evaluated, never
-/// the value.
-///
-/// Seeds run sequentially on the caller's thread (a sweepd worker *is*
-/// the unit of parallelism), honoring the [`Supervision`] fault hooks
-/// (`panic_on`, `delay_on`) so the service's retry path stays
-/// testable; the soft-deadline watchdog does not apply here — on this
-/// path a long cell is survivable by construction, because a killed
-/// attempt resumes from its snapshots instead of being thrown away.
-///
-/// On success the cell's snapshot directory is removed (the result is
-/// cached; the snapshots are dead weight). On failure it is kept so
-/// the retry resumes rather than recomputes.
-pub fn run_cell_recoverable(
-    cell: &SweepCell,
-    supervision: &Supervision,
-    ckpt_dir: &Path,
-    policy: CheckpointPolicy,
-) -> (Result<SweepOutcome, JobError>, CellRecovery) {
-    let mut recovery = CellRecovery::default();
-    let mut runs = Vec::with_capacity(cell.seeds.len());
-    for (i, &seed) in cell.seeds.iter().enumerate() {
-        let mut cfg = cell.config;
-        cfg.checkpoint = policy;
-        let seed_dir = ckpt_dir.join(format!("seed-{seed}"));
-        let (snapshot, rejected) = latest_snapshot(&seed_dir);
-        recovery.fallbacks += rejected;
-        let resume = match snapshot {
-            Some(s) if s.compatible_with(&cfg, seed).is_ok() => {
-                recovery.resumed += 1;
-                Some(s)
-            }
-            Some(_) => {
-                // A stale directory from a different cell layout; a
-                // cold start is always correct.
-                recovery.fallbacks += 1;
-                None
-            }
-            None => None,
-        };
-        let panics = supervision.panic_on == Some(i);
-        let delay = supervision
-            .delay_on
-            .and_then(|(j, d)| (j == i).then_some(d));
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(d) = delay {
-                std::thread::sleep(d);
-            }
-            assert!(!panics, "supervision fault hook: deliberate panic");
-            run_scenario_checkpointed(&cfg, seed, Some(&seed_dir), resume, &mut NullSink)
-        }));
-        let result = match outcome {
-            Ok(r) => r,
-            Err(payload) => Err(RunError::Panicked {
-                message: panic_message(payload.as_ref()),
-            }),
-        };
-        match result {
-            Ok(run) => runs.push(run),
-            Err(error) => {
-                // Keep the snapshot directory: the retry resumes this
-                // seed instead of recomputing the whole cell.
-                let err = JobError {
-                    index: i,
-                    config_hash: config_hash_for(&cell.config),
-                    error,
-                };
-                return (Err(err), recovery);
-            }
-        }
-    }
-    // The cell is done and its outcome will be cached; the snapshots
-    // have served their purpose. Best-effort cleanup only — a leftover
-    // directory is re-validated (and rejected) on any future reuse.
-    let _ = std::fs::remove_dir_all(ckpt_dir);
-    (Ok(summarize_cs(cell.x, &runs)), recovery)
+    (outcome, stats)
 }
 
 #[cfg(test)]
@@ -755,24 +721,9 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         assert!(run_batch(&[]).unwrap().is_empty());
-        assert!(run_batch_supervised(&[], &Supervision::default()).is_empty());
-    }
-
-    #[test]
-    fn manifested_batch_pairs_each_job_with_its_manifest() {
-        let jobs: Vec<(ScenarioConfig, u64)> = (0..4)
-            .map(|s| (tiny(AlgorithmKind::Mobic, 150.0 + 25.0 * s as f64), 100 + s))
-            .collect();
-        let (results, manifests) = run_batch_manifested(&jobs).unwrap();
-        assert_eq!(results.len(), jobs.len());
-        assert_eq!(manifests.len(), jobs.len());
-        for (i, m) in manifests.iter().enumerate() {
-            assert_eq!(m.seed, jobs[i].1, "job {i}");
-            assert_eq!(m.counters.deliveries, results[i].deliveries, "job {i}");
-            assert_eq!(m.counters.hello_broadcasts, results[i].hello_broadcasts);
-        }
-        // Distinct configs hash distinctly.
-        assert_ne!(manifests[0].config_hash, manifests[1].config_hash);
+        assert!(run_batch_supervised(&[], &Supervision::default(), None)
+            .0
+            .is_empty());
     }
 
     #[test]
@@ -818,7 +769,7 @@ mod tests {
             .map(|s| (tiny(AlgorithmKind::Mobic, 150.0 + 10.0 * s as f64), s))
             .collect();
         let plain = run_batch(&jobs).unwrap();
-        let supervised = run_batch_supervised(&jobs, &Supervision::default());
+        let supervised = run_batch_supervised(&jobs, &Supervision::default(), None).0;
         assert_eq!(supervised.len(), jobs.len());
         for (i, r) in supervised.iter().enumerate() {
             let r = r.as_ref().expect("healthy job");
@@ -836,7 +787,7 @@ mod tests {
             panic_on: Some(2),
             ..Supervision::default()
         };
-        let results = run_batch_supervised(&jobs, &sup);
+        let results = run_batch_supervised(&jobs, &sup, None).0;
         assert_eq!(results.len(), 4);
         for (i, r) in results.iter().enumerate() {
             if i == 2 {
@@ -862,7 +813,7 @@ mod tests {
             delay_on: Some((1, std::time::Duration::from_secs(60))),
             ..Supervision::default()
         };
-        let results = run_batch_supervised(&jobs, &sup);
+        let results = run_batch_supervised(&jobs, &sup, None).0;
         let e = results[1].as_ref().unwrap_err();
         assert_eq!(e.index, 1);
         assert!(
@@ -943,7 +894,86 @@ mod tests {
         let err = spec.validate().unwrap_err();
         assert!(err.to_string().contains("cell fnv1a64:"), "{err}");
 
+        // 2 tx × 2 algorithms × 2^15 seeds is exactly the 2^17-run
+        // cap. Past it, the count alone refuses the spec: expanding
+        // 2^62 seeds per cell would overflow the allocator.
+        let mut spec = tiny_spec();
+        spec.seeds = 1 << 15;
+        spec.validate().expect("2^17 runs are within the cap");
+        for seeds in [(1 << 15) + 1, 1 << 62, u64::MAX] {
+            spec.seeds = seeds;
+            let err = spec.validate().expect_err("past the cap");
+            assert!(err.to_string().contains("131072 runs"), "{seeds}: {err}");
+        }
+
         assert!(SweepSpec::from_json("{not json").is_err());
+    }
+
+    /// Every number in a valid spec set in turn to 0, −1, the smallest
+    /// subnormal, 1e308 and `u64::MAX`: parsing and validating return a
+    /// spec or a `SpecError`, and never panic.
+    #[test]
+    fn spec_from_json_types_every_hostile_number() {
+        use serde_json::Value;
+        /// Replaces the `k`-th number (depth first) with `x`; `false`
+        /// when the document holds fewer than `k + 1` numbers.
+        fn set_nth_number(v: &mut Value, k: &mut usize, x: &Value) -> bool {
+            match v {
+                Value::Number(_) if *k == 0 => {
+                    *v = x.clone();
+                    true
+                }
+                Value::Number(_) => {
+                    *k -= 1;
+                    false
+                }
+                Value::Array(items) => items.iter_mut().any(|i| set_nth_number(i, k, x)),
+                Value::Object(map) => map.values_mut().any(|i| set_nth_number(i, k, x)),
+                _ => false,
+            }
+        }
+        let mut spec = tiny_spec();
+        spec.base.history_alpha = Some(0.5);
+        spec.base.faults.crashes = 1;
+        spec.fault_panic_attempts = 1;
+        let good: Value = serde_json::from_str(&spec.to_json()).unwrap();
+        let hostile: Vec<Value> = ["0", "-1", "5e-324", "1e308", "18446744073709551615"]
+            .iter()
+            .map(|text| serde_json::from_str(text).unwrap())
+            .collect();
+        let mut fields = 0;
+        for field in 0.. {
+            let mut touched = false;
+            for x in &hostile {
+                let mut doc = good.clone();
+                if !set_nth_number(&mut doc, &mut { field }, x) {
+                    break;
+                }
+                touched = true;
+                let text = serde_json::to_string(&doc).unwrap();
+                let verdict = catch_unwind(|| SweepSpec::from_json(&text).map(|_| ()));
+                assert!(verdict.is_ok(), "number {field} set to {x:?} panicked");
+            }
+            if !touched {
+                break;
+            }
+            fields += 1;
+        }
+        assert!(fields >= 30, "only {fields} numbers fuzzed");
+    }
+
+    #[test]
+    fn cell_shape_check_names_algorithm_x_and_seed_count() {
+        let cells = tiny_spec().cells();
+        let outcome = run_cell(&cells[0], &Supervision::default(), None)
+            .0
+            .unwrap();
+        assert!(cells[0].has_shape_of(&outcome));
+        assert!(!cells[1].has_shape_of(&outcome), "another algorithm");
+        assert!(!cells[2].has_shape_of(&outcome), "another x");
+        let mut wider = cells[0].clone();
+        wider.seeds.push(2);
+        assert!(!wider.has_shape_of(&outcome), "more seeds");
     }
 
     #[test]
@@ -990,7 +1020,7 @@ mod tests {
     fn run_cell_matches_the_manual_batch_plus_summarize_path() {
         let spec = tiny_spec();
         let cell = &spec.cells()[1]; // mobic @ 150 m
-        let via_cell = run_cell(cell, &Supervision::default()).unwrap();
+        let via_cell = run_cell(cell, &Supervision::default(), None).0.unwrap();
         let jobs: Vec<(ScenarioConfig, u64)> =
             cell.seeds.iter().map(|&s| (cell.config, s)).collect();
         let runs = run_batch(&jobs).unwrap();
@@ -1015,7 +1045,7 @@ mod tests {
             panic_on: Some(0),
             ..Supervision::default()
         };
-        let err = run_cell(cell, &sup).unwrap_err();
+        let err = run_cell(cell, &sup, None).0.unwrap_err();
         assert_eq!(err.index, 0);
         assert!(matches!(err.error, RunError::Panicked { .. }));
     }
@@ -1025,7 +1055,7 @@ mod tests {
         let mut bad = tiny(AlgorithmKind::Mobic, 100.0);
         bad.n_nodes = 0;
         let jobs = vec![(tiny(AlgorithmKind::Mobic, 100.0), 1), (bad, 2)];
-        let results = run_batch_supervised(&jobs, &Supervision::default());
+        let results = run_batch_supervised(&jobs, &Supervision::default(), None).0;
         assert!(results[0].is_ok(), "healthy job must complete");
         let e = results[1].as_ref().unwrap_err();
         assert_eq!(e.index, 1);
@@ -1037,9 +1067,14 @@ mod tests {
         let jobs: Vec<(ScenarioConfig, u64)> = (0..3)
             .map(|s| (tiny(AlgorithmKind::Mobic, 180.0), s))
             .collect();
-        let (results, stats) = run_batch_supervised_stats(&jobs, &Supervision::default());
+        let (results, stats) = run_batch_supervised(&jobs, &Supervision::default(), None);
         assert!(results.iter().all(Result::is_ok));
-        assert_eq!(stats, BatchStats::default());
+        // No leaked thread, resume or fallback; only the timings move.
+        let counters = BatchStats {
+            phase_ms: PhaseTimings::default(),
+            ..stats
+        };
+        assert_eq!(counters, BatchStats::default());
     }
 
     /// A fresh per-test checkpoint root under the OS temp dir.
@@ -1062,9 +1097,10 @@ mod tests {
         let cell = &spec.cells()[0];
         let dir = ckpt_dir("clean");
         let (outcome, recovery) =
-            run_cell_recoverable(cell, &Supervision::default(), &dir, fast_policy());
+            run_cell(cell, &Supervision::default(), Some((&dir, fast_policy())));
         let recovered = outcome.expect("cell must complete").to_json_pretty();
-        let direct = run_cell(cell, &Supervision::default())
+        let direct = run_cell(cell, &Supervision::default(), None)
+            .0
             .expect("direct run")
             .to_json_pretty();
         assert_eq!(recovered, direct, "checkpointing must not change bytes");
@@ -1087,7 +1123,7 @@ mod tests {
             panic_on: Some(1),
             ..Supervision::default()
         };
-        let (outcome, _) = run_cell_recoverable(cell, &crash, &dir, fast_policy());
+        let (outcome, _) = run_cell(cell, &crash, Some((&dir, fast_policy())));
         let err = outcome.expect_err("the fault hook must crash the attempt");
         assert_eq!(err.index, 1);
         assert!(matches!(err.error, RunError::Panicked { .. }));
@@ -1097,9 +1133,10 @@ mod tests {
         // recomputing it, and the final bytes are the uninterrupted
         // cell's bytes.
         let (outcome, recovery) =
-            run_cell_recoverable(cell, &Supervision::default(), &dir, fast_policy());
+            run_cell(cell, &Supervision::default(), Some((&dir, fast_policy())));
         let resumed = outcome.expect("retry must complete").to_json_pretty();
-        let direct = run_cell(cell, &Supervision::default())
+        let direct = run_cell(cell, &Supervision::default(), None)
+            .0
             .expect("direct run")
             .to_json_pretty();
         assert_eq!(resumed, direct, "resume must not change bytes");
@@ -1118,13 +1155,35 @@ mod tests {
         std::fs::create_dir_all(&seed_dir).unwrap();
         std::fs::write(seed_dir.join("ckpt-00000000000000000099.ckpt"), b"garbage").unwrap();
         let (outcome, recovery) =
-            run_cell_recoverable(cell, &Supervision::default(), &dir, fast_policy());
+            run_cell(cell, &Supervision::default(), Some((&dir, fast_policy())));
         let recovered = outcome.expect("cell must complete").to_json_pretty();
-        let direct = run_cell(cell, &Supervision::default())
+        let direct = run_cell(cell, &Supervision::default(), None)
+            .0
             .expect("direct run")
             .to_json_pretty();
         assert_eq!(recovered, direct, "corruption must cost bytes nothing");
         assert_eq!(recovery.resumed, 0, "garbage must never be restored");
         assert!(recovery.fallbacks >= 1, "the rejection must be counted");
+    }
+
+    #[test]
+    fn checkpointed_cell_honors_the_deadline() {
+        let spec = tiny_spec();
+        let cell = &spec.cells()[0];
+        let dir = ckpt_dir("deadline");
+        let sup = Supervision {
+            soft_deadline: Some(Duration::from_secs(5)),
+            delay_on: Some((1, Duration::from_secs(60))),
+            ..Supervision::default()
+        };
+        let (outcome, stats) = run_cell(cell, &sup, Some((&dir, fast_policy())));
+        let err = outcome.expect_err("the stuck seed must time out");
+        assert_eq!(err.index, 1);
+        assert!(
+            matches!(err.error, RunError::TimedOut { limit_s } if (limit_s - 5.0).abs() < 1e-9),
+            "{err}"
+        );
+        assert_eq!(stats.leaked_workers, 1, "the sleeper is abandoned");
+        assert!(dir.exists(), "a failed cell must keep its snapshots");
     }
 }

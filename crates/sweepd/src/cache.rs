@@ -112,11 +112,7 @@ impl CellCache {
         }
         let legacy = self.dir.join(cell.legacy_file_name());
         let text = fs::read_to_string(legacy).ok()?;
-        let out = SweepOutcome::from_json(&text)?;
-        let matches = out.runs == cell.seeds.len()
-            && out.algorithm == cell.config.algorithm.name()
-            && out.x == cell.x;
-        if !matches {
+        if !cell.has_shape_of(&SweepOutcome::from_json(&text)?) {
             return None;
         }
         // Adoption is an optimization; if the keyed copy cannot be

@@ -42,10 +42,14 @@ fn header_end(buf: &[u8]) -> Option<usize> {
 pub fn read_request(stream: &mut impl Read) -> io::Result<Request> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
+    // Bytes already searched for the separator, less the 3 a separator
+    // split across two reads can start in: each read is scanned once.
+    let mut scanned = 0;
     let head_len = loop {
-        if let Some(pos) = header_end(&buf) {
-            break pos;
+        if let Some(pos) = header_end(&buf[scanned..]) {
+            break scanned + pos;
         }
+        scanned = buf.len().saturating_sub(3);
         if buf.len() > MAX_REQUEST_BYTES {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -213,6 +217,16 @@ mod tests {
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/status");
         assert_eq!(req.body, "");
+
+        // A head longer than one 4096-byte read, its separator split
+        // across the two reads at each of the three offsets.
+        let prefix = "GET /status HTTP/1.1\r\nX-Pad: ";
+        for split in 1..=3 {
+            let pad = "a".repeat(4096 - split - prefix.len());
+            let raw = format!("{prefix}{pad}\r\n\r\n");
+            let req = read_request(&mut raw.as_bytes()).unwrap();
+            assert_eq!(req.path, "/status", "split {split}");
+        }
     }
 
     #[test]
@@ -258,6 +272,74 @@ mod tests {
         let err = read_request(&mut &endless[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("too large"), "{err}");
+    }
+
+    /// SplitMix64: a seeded generator small enough to inline, so the
+    /// fuzz cases below replay exactly and the crate stays
+    /// dependency-free.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Random and byte-mutated requests (case `k` draws from seed
+    /// `k`): the parser returns a request or an `io::Error` and never
+    /// panics, an accepted body stays under the cap, and a declared
+    /// body over the cap is always `InvalidData`.
+    #[test]
+    fn random_and_mutated_requests_parse_or_error() {
+        const VALID: [&[u8]; 3] = [
+            b"POST /sweep HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\nhello world",
+            b"GET /status HTTP/1.1\r\n\r\n",
+            b"GET /cell/fnv1a64:0123456789abcdef HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+        ];
+        // The protocol's own bytes, so random heads and lengths occur.
+        const ALPHABET: &[u8] = b"GET POST/: \r\n0123456789Content-Length\xff\x00";
+        for case in 0..4000u64 {
+            let mut rng = SplitMix(case);
+            let raw: Vec<u8> = if case % 2 == 0 {
+                (0..rng.below(256))
+                    .map(|_| ALPHABET[rng.below(ALPHABET.len())])
+                    .collect()
+            } else {
+                let mut raw = VALID[rng.below(VALID.len())].to_vec();
+                for _ in 0..=rng.below(4) {
+                    let at = rng.below(raw.len() + 1);
+                    match rng.below(3) {
+                        0 if at < raw.len() => {
+                            raw.remove(at);
+                        }
+                        1 if at < raw.len() => raw[at] = rng.next().to_le_bytes()[0],
+                        _ => raw.insert(at, ALPHABET[rng.below(ALPHABET.len())]),
+                    }
+                }
+                raw
+            };
+            if let Ok(request) = read_request(&mut &raw[..]) {
+                assert!(request.body.len() <= MAX_REQUEST_BYTES, "case {case}");
+            }
+        }
+        for case in 0..200u64 {
+            let mut rng = SplitMix(case);
+            let declared = MAX_REQUEST_BYTES + 1 + rng.below(1 << 40);
+            let pad = "a".repeat(rng.below(64));
+            let raw = format!(
+                "POST /{case} HTTP/1.1\r\nX-Pad: {pad}\r\nContent-Length: {declared}\r\n\r\n"
+            );
+            let err = read_request(&mut raw.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "case {case}");
+        }
     }
 
     #[test]

@@ -9,12 +9,15 @@
 //! [`CellCache`] keyed by
 //! [`cell_key`](mobic_scenario::cell_key) and are served byte-for-byte
 //! identical to what `mobic-cli sweep` would write locally. Cells that
-//! do need computing flow through a bounded worker pool into
-//! [`run_cell`](mobic_scenario::run_cell) →
-//! `run_batch_supervised`, so panicking or stuck runs become typed
-//! verdicts, are retried up to a budget, and are finally parked as
-//! failed with the verdict attached — one poisoned cell never takes
-//! the service down.
+//! do need computing flow through a bounded worker pool into one
+//! [`run_cell`](mobic_scenario::run_cell) call each, the same call
+//! `mobic-cli sweep` makes, checkpointed when the service has a
+//! snapshot cadence. Its seeds run on `run_batch_supervised`, so
+//! panicking or stuck runs become typed verdicts under the deadline,
+//! are retried up to a budget, and are finally parked as failed with
+//! the verdict attached — one poisoned cell never takes the service
+//! down. A spec whose grid expands past 2^17 runs is refused with a
+//! `400` before anything is expanded.
 //!
 //! Zero external dependencies: like `mobic-lint`, this crate builds
 //! with the standard library plus workspace crates only, so it works

@@ -11,16 +11,15 @@
 //! * `POST /drain` — stop accepting sweeps, finish in-flight cells,
 //!   then shut down.
 //!
-//! Every cell executes through
-//! [`run_cell_stats`] → [`run_batch_supervised_stats`](mobic_scenario::run_batch_supervised_stats),
-//! so a panicking or stuck seed becomes a typed verdict; the cell is
-//! retried up to the configured budget, then parked as failed with
-//! the verdict attached. With a checkpoint cadence configured
-//! ([`ServerConfig::checkpoint_every`]) cells instead run through
-//! [`run_cell_recoverable`]: workers publish rotated snapshots under
-//! `<cache_dir>/ckpt/<cell key>/` and — after a kill, crash, or
-//! parked attempt — resume each seed from its newest snapshot passing
-//! the integrity and compatibility gates, degrading to older
+//! Every cell executes through one [`run_cell`] call on the supervised
+//! executor, so a panicking or stuck seed becomes a typed verdict
+//! (the soft deadline applies whether or not cells checkpoint); the
+//! cell is retried up to the configured budget, then parked as failed
+//! with the verdict attached. With a checkpoint cadence configured
+//! ([`ServerConfig::checkpoint_every`]) the seeds publish rotated
+//! snapshots under `<cache_dir>/ckpt/<cell key>/` and — after a kill,
+//! crash, timeout or parked attempt — resume from the newest snapshot
+//! passing the integrity and compatibility gates, degrading to older
 //! snapshots and finally a cold start on corruption. `/status`
 //! reports the per-worker resume/fallback tallies.
 
@@ -32,10 +31,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mobic_scenario::{
-    run_cell_recoverable, run_cell_stats, CellRecovery, CheckpointPolicy, Supervision, SweepCell,
-    SweepSpec,
-};
+use mobic_scenario::{run_cell, CheckpointPolicy, Supervision, SweepCell, SweepSpec};
 use mobic_trace::Stopwatch;
 
 use crate::cache::CellCache;
@@ -57,15 +53,14 @@ pub struct ServerConfig {
     /// Soft per-run wall-clock deadline handed to the supervised
     /// batch executor; `None` disables the watchdog.
     pub deadline: Option<Duration>,
-    /// Checkpoint cadence in seconds for cell computations. `Some(s)`
-    /// routes every cell through the crash-recoverable runner
-    /// ([`run_cell_recoverable`]): rotated snapshots land under
-    /// `<cache_dir>/ckpt/<cell key>/` roughly every `s` wall-clock
-    /// seconds, and a worker picking up a cell resumes each seed from
-    /// its newest snapshot passing the integrity + compatibility
-    /// gates (degrading to older snapshots, then a cold start, on
-    /// corruption). `None` (the default) keeps the plain supervised
-    /// path.
+    /// Checkpoint cadence in seconds for cell computations. With
+    /// `Some(s)`, rotated snapshots land under
+    /// `<cache_dir>/ckpt/<cell key>/seed-<n>/` roughly every `s`
+    /// wall-clock seconds, and a worker picking up a cell resumes each
+    /// seed from its newest snapshot passing the integrity +
+    /// compatibility gates (degrading to older snapshots, then a cold
+    /// start, on corruption). `None` (the default) writes no
+    /// snapshots. Either way the cell runs through [`run_cell`].
     pub checkpoint_every: Option<f64>,
     /// Per-connection socket read **and** write timeout: a peer that
     /// stalls sending its request or draining our response is cut
@@ -200,7 +195,9 @@ impl Server {
         });
         let options = WorkerOptions {
             deadline: cfg.deadline,
-            checkpoint_every: cfg.checkpoint_every,
+            checkpoint: cfg
+                .checkpoint_every
+                .map(|every_s| CheckpointPolicy { every_s, keep: 2 }),
             ckpt_root: cfg.cache_dir.join("ckpt"),
         };
         let workers = (0..n_workers)
@@ -452,11 +449,10 @@ impl Server {
 /// Per-worker execution knobs, shared by every worker thread.
 #[derive(Debug, Clone)]
 struct WorkerOptions {
-    /// Soft per-run deadline for the plain supervised path.
+    /// Soft per-run deadline.
     deadline: Option<Duration>,
-    /// Checkpoint cadence in seconds; `Some` switches cells to the
-    /// crash-recoverable runner.
-    checkpoint_every: Option<f64>,
+    /// Snapshot cadence; `None` writes no snapshots.
+    checkpoint: Option<CheckpointPolicy>,
     /// Snapshot root (`<cache_dir>/ckpt`); each cell gets a
     /// subdirectory named after its key.
     ckpt_root: PathBuf,
@@ -493,31 +489,21 @@ fn worker_loop(shared: &Shared, idx: usize, options: &WorkerOptions) {
             panic_on: (job.panic_attempts > 0).then_some(0),
             ..Supervision::default()
         };
-        let (result, recovered, leaked) = match options.checkpoint_every {
-            Some(every_s) => {
-                // Crash-recoverable path: snapshots under
-                // `ckpt/<key>/seed-<n>/`, resumed on pickup. A parked
-                // or killed attempt leaves its snapshots behind, so
-                // the retry — or a resubmission after a crash —
-                // resumes instead of recomputing (`:` is not portable
-                // in file names, same mapping as the cell cache).
-                let dir = options.ckpt_root.join(job.key.replace(':', "-"));
-                let policy = CheckpointPolicy { every_s, keep: 2 };
-                let (result, recovery) =
-                    run_cell_recoverable(&job.cell, &supervision, &dir, policy);
-                (result, recovery, 0u32)
-            }
-            None => {
-                let (result, stats) = run_cell_stats(&job.cell, &supervision);
-                (result, CellRecovery::default(), stats.leaked_workers)
-            }
-        };
+        // With a cadence, snapshots go under `ckpt/<key>/seed-<n>/`,
+        // resumed on pickup. A parked, timed-out or killed attempt
+        // leaves its snapshots behind, so the retry — or a
+        // resubmission after a crash — resumes instead of recomputing
+        // (`:` is not portable in file names, same mapping as the cell
+        // cache).
+        let dir = options.ckpt_root.join(job.key.replace(':', "-"));
+        let checkpoint = options.checkpoint.map(|policy| (dir.as_path(), policy));
+        let (result, stats) = run_cell(&job.cell, &supervision, checkpoint);
 
         let mut inner = shared.lock();
         inner.busy[idx] = None;
-        inner.recovery[idx].resumed += u64::from(recovered.resumed);
-        inner.recovery[idx].fallbacks += u64::from(recovered.fallbacks);
-        inner.leaked_workers += u64::from(leaked);
+        inner.recovery[idx].resumed += u64::from(stats.resumed);
+        inner.recovery[idx].fallbacks += u64::from(stats.fallbacks);
+        inner.leaked_workers += u64::from(stats.leaked_workers);
         match result {
             Ok(outcome) => {
                 let json = outcome.to_json_pretty();

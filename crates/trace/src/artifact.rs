@@ -11,6 +11,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Writes `contents` to `path` atomically (temp file + rename),
 /// creating parent directories as needed.
@@ -18,8 +19,9 @@ use std::path::{Path, PathBuf};
 /// The temporary file is created in the destination's directory so the
 /// final `rename` never crosses a filesystem boundary (a cross-device
 /// rename is a copy, which is not atomic). The temp name embeds the
-/// process id, so concurrent writers in different processes cannot
-/// clobber each other's scratch file.
+/// process id and a per-call counter, so concurrent writers — other
+/// processes, or other threads of this one — never share a scratch
+/// file.
 ///
 /// # Errors
 ///
@@ -48,13 +50,16 @@ pub fn write_atomic(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> io::R
     }
 }
 
-/// The scratch path used by [`write_atomic`]: `.{name}.{pid}.tmp` in
-/// the destination's directory.
+/// The scratch path used by [`write_atomic`]: `.{name}.{pid}.{n}.tmp`
+/// in the destination's directory, where `n` is unique per call in
+/// this process.
 fn temp_sibling(path: &Path) -> PathBuf {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     let name = path
         .file_name()
         .map_or_else(|| "artifact".into(), |n| n.to_string_lossy().into_owned());
-    path.with_file_name(format!(".{name}.{}.tmp", std::process::id()))
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    path.with_file_name(format!(".{name}.{}.{call}.tmp", std::process::id()))
 }
 
 #[cfg(test)]
@@ -98,6 +103,42 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
             .collect();
         assert!(strays.is_empty(), "stray temp files: {strays:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn threads_writing_one_path_never_share_a_scratch_file() {
+        // Two threads publish different payloads to one path, as an
+        // abandoned job and its retry publish snapshots into one
+        // directory. Every write must land, and every read must see
+        // one payload whole.
+        let dir = scratch_dir("threads");
+        let path = dir.join("out.json");
+        let payloads = [vec![b'a'; 64 * 1024], vec![b'b'; 64 * 1024]];
+        // Both threads start every write together. A failure is
+        // counted, not raised, so neither thread leaves the other
+        // waiting at the barrier.
+        let start = std::sync::Barrier::new(payloads.len());
+        let (path, payloads, start) = (&path, &payloads, &start);
+        let failures: usize = std::thread::scope(|scope| {
+            let writers: Vec<_> = payloads
+                .iter()
+                .map(|payload| {
+                    scope.spawn(move || {
+                        (0..200)
+                            .filter(|_| {
+                                start.wait();
+                                write_atomic(path, payload).is_err()
+                                    || !std::fs::read(path)
+                                        .is_ok_and(|read| payloads.contains(&read))
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(failures, 0, "failed writes or torn reads");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -125,8 +125,8 @@ impl PhaseClock {
 ///
 /// Where [`PhaseClock`] times consecutive phases, `Stopwatch` answers
 /// "how long since I started?" — the shape supervision deadlines
-/// (`run_batch_supervised`) and the runner's total wall-clock counter
-/// need. Keeping both here means no other crate has to name `Instant`
+/// (`run_batch_supervised`, the one executor behind every batch and
+/// sweep cell) and the runner's total wall-clock counter need. Keeping both here means no other crate has to name `Instant`
 /// directly.
 ///
 /// # Examples

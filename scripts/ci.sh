@@ -3,10 +3,11 @@
 # lossy-path ablation goldens, the benchmark's own gate, the ledger's
 # work counts, a smoke run of the
 # brute-vs-indexed scaling bench (which asserts result equality, so a
-# regression in either event-loop path fails the script), a checkpoint
-# kill/resume drill (run -> SIGKILL -> resume -> byte-compare), and a
-# live mobic-sweepd service smoke (submit, full cache hit on resubmit,
-# graceful drain).
+# regression in either event-loop path fails the script), a sweep
+# resume smoke, a checkpoint kill/resume drill (run -> SIGKILL ->
+# resume -> byte-compare), and a live mobic-sweepd service smoke
+# (checkpointed cells under a deadline, full cache hit on resubmit,
+# graceful drain, no snapshot directory left behind).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -128,6 +129,16 @@ cargo run --release -p mobic-cli -- sweep \
     --nodes 10 --time 30 --tx-sweep 150:200:50 --seeds 2 \
     --algorithms lcc --out "$RESUME_DIR" --resume 2>&1 >/dev/null \
     | grep -q "resume:"
+# A pass with more seeds must skip none: a 2-seed file is not a
+# 3-seed cell, so every cell is recomputed.
+WIDER_LOG="$(cargo run --release -q -p mobic-cli -- sweep \
+    --nodes 10 --time 30 --tx-sweep 150:200:50 --seeds 3 \
+    --algorithms lcc --out "$RESUME_DIR" --resume 2>&1 >/dev/null)"
+if grep -q "already done" <<<"$WIDER_LOG"; then
+    echo "resume skipped a cell computed with another seed count" >&2
+    exit 1
+fi
+grep -q '"runs": 3' "$RESUME_DIR/cell_lcc_tx150.json"
 
 echo "== checkpoint smoke (run -> kill -> resume -> byte-compare) =="
 # The randomized kill/resume equivalence suite first (all five
@@ -163,7 +174,7 @@ ls "$CKPT_DIR/snaps"/*.ckpt >/dev/null
 grep -q "checkpoint: resuming at event" "$CKPT_DIR/resumed.log"
 cmp "$CKPT_DIR/ref.json" "$CKPT_DIR/resumed.json"
 
-echo "== sweepd service smoke (submit, 100% cache hit on resubmit, drain) =="
+echo "== sweepd service smoke (checkpointed cells under a deadline, 100% cache hit on resubmit, drain) =="
 SWEEPD_DIR="$(mktemp -d)"
 SWEEPD_LOG="$SWEEPD_DIR/sweepd.log"
 SWEEPD_PID=""
@@ -174,8 +185,12 @@ cleanup() {
 trap cleanup EXIT
 cargo build --release -q -p mobic-sweepd -p mobic-cli
 # Ephemeral port: the announce line carries the resolved address.
+# Cells checkpoint and run under a deadline at once: both go through
+# the one cell path. 40 nodes for 120 s is past the 1024 events after
+# which a run first checks its snapshot cadence.
 ./target/release/mobic-sweepd --addr 127.0.0.1:0 \
-    --cache "$SWEEPD_DIR/cache" --workers 2 >"$SWEEPD_LOG" &
+    --cache "$SWEEPD_DIR/cache" --workers 2 \
+    --checkpoint-every 0.001 --deadline 60 >"$SWEEPD_LOG" &
 SWEEPD_PID=$!
 for _ in $(seq 1 100); do
     grep -q "listening on" "$SWEEPD_LOG" 2>/dev/null && break
@@ -184,16 +199,22 @@ done
 ADDR="$(sed -n 's/^mobic-sweepd listening on \([^ ]*\).*/\1/p' "$SWEEPD_LOG")"
 test -n "$ADDR"
 ./target/release/mobic-cli sweep --server "$ADDR" \
-    --nodes 10 --time 30 --tx-sweep 150:200:50 --seeds 2 \
+    --nodes 40 --time 120 --tx-sweep 150:200:50 --seeds 2 \
     --algorithms lcc >/dev/null
 # The identical spec resubmitted must be answered entirely from the
 # cache: two cells cached, zero queued, zero scenario runs.
 ./target/release/mobic-cli sweep --server "$ADDR" \
-    --nodes 10 --time 30 --tx-sweep 150:200:50 --seeds 2 \
+    --nodes 40 --time 120 --tx-sweep 150:200:50 --seeds 2 \
     --algorithms lcc 2>&1 >/dev/null \
     | grep -q "(2 from cache, 0 queued)"
 ./target/release/mobic-cli drain --server "$ADDR" 2>/dev/null
 wait "$SWEEPD_PID"
 SWEEPD_PID=""
+# Every cell completed, so none may leave its snapshot directory.
+LEFT="$(ls -A "$SWEEPD_DIR/cache/ckpt" 2>/dev/null || true)"
+if [ -n "$LEFT" ]; then
+    echo "completed cells left snapshot directories: $LEFT" >&2
+    exit 1
+fi
 
 echo "CI OK"

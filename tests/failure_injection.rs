@@ -9,9 +9,8 @@ use std::time::Duration;
 
 use mobic::core::AlgorithmKind;
 use mobic::scenario::{
-    run_batch_supervised, run_batch_supervised_stats, run_scenario, run_scenario_instrumented,
-    FaultPlan, FaultTarget, LossKind, MobilityKind, PropagationKind, RunError, ScenarioConfig,
-    Supervision,
+    run_batch_supervised, run_scenario, run_scenario_instrumented, FaultPlan, FaultTarget,
+    LossKind, MobilityKind, PropagationKind, RunError, ScenarioConfig, Supervision,
 };
 use mobic::trace::JsonlSink;
 
@@ -168,7 +167,7 @@ fn supervised_batch_isolates_panicking_and_stuck_jobs() {
         panic_on: Some(0),
         delay_on: Some((2, Duration::from_secs(60))),
     };
-    let (results, stats) = run_batch_supervised_stats(&jobs, &sup);
+    let (results, stats) = run_batch_supervised(&jobs, &sup, None);
     assert_eq!(results.len(), 4);
     let e0 = results[0].as_ref().unwrap_err();
     assert_eq!(e0.index, 0);
@@ -203,7 +202,7 @@ fn any_panicking_job_is_isolated() {
             panic_on: Some(panic_at),
             ..Supervision::default()
         };
-        let results = run_batch_supervised(&jobs, &sup);
+        let results = run_batch_supervised(&jobs, &sup, None).0;
         for (i, r) in results.iter().enumerate() {
             if i == panic_at {
                 let Err(e) = r else {

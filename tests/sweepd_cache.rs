@@ -44,7 +44,9 @@ fn cold_and_warm_cells_are_byte_identical() {
     let key = cell.key();
 
     // Cold: compute and store.
-    let outcome = run_cell(&cell, &Supervision::default()).expect("cell runs");
+    let outcome = run_cell(&cell, &Supervision::default(), None)
+        .0
+        .expect("cell runs");
     let json = outcome.to_json_pretty();
     {
         let mut cache = CellCache::open(&dir).expect("cache opens");
@@ -59,7 +61,9 @@ fn cold_and_warm_cells_are_byte_identical() {
     let mut cache = CellCache::open(&dir).expect("cache reopens");
     assert_eq!(cache.len(), 1);
     assert_eq!(cache.lookup(&cell).as_deref(), Some(json.as_str()));
-    let recomputed = run_cell(&cell, &Supervision::default()).expect("cell reruns");
+    let recomputed = run_cell(&cell, &Supervision::default(), None)
+        .0
+        .expect("cell reruns");
     assert_eq!(
         recomputed.to_json_pretty(),
         json,
@@ -74,7 +78,8 @@ fn corrupted_and_truncated_cells_are_never_served() {
     let dir = tmp_dir("corrupt");
     let cell = tiny_spec().cells().remove(0);
     let key = cell.key();
-    let json = run_cell(&cell, &Supervision::default())
+    let json = run_cell(&cell, &Supervision::default(), None)
+        .0
         .expect("cell runs")
         .to_json_pretty();
 
@@ -107,7 +112,8 @@ fn corrupted_and_truncated_cells_are_never_served() {
 fn a_sweep_out_directory_is_a_warm_cache() {
     let dir = tmp_dir("legacy");
     let cell = tiny_spec().cells().remove(0);
-    let json = run_cell(&cell, &Supervision::default())
+    let json = run_cell(&cell, &Supervision::default(), None)
+        .0
         .expect("cell runs")
         .to_json_pretty();
     // What `mobic-cli sweep --out` writes: legacy name, same bytes.

@@ -129,7 +129,9 @@ fn service_computes_caches_and_drains() {
     // Every cell lands and is byte-identical to direct computation.
     let bodies = wait_for_cells(&addr, &keys, Duration::from_secs(120));
     for (cell, body) in spec.cells().iter().zip(&bodies) {
-        let direct = run_cell(cell, &Supervision::default()).expect("direct run");
+        let direct = run_cell(cell, &Supervision::default(), None)
+            .0
+            .expect("direct run");
         assert_eq!(
             &direct.to_json_pretty(),
             body,
@@ -209,7 +211,9 @@ fn killed_worker_cell_is_retried_and_stays_byte_identical() {
     // direct computation byte-for-byte (the panicked attempt left no
     // partial outcome).
     let cells = spec.cells();
-    let direct = run_cell(&cells[0], &Supervision::default()).expect("direct run");
+    let direct = run_cell(&cells[0], &Supervision::default(), None)
+        .0
+        .expect("direct run");
     assert_eq!(direct.to_json_pretty(), bodies[0]);
 
     // The fault hook is not part of the content address: the same
@@ -284,7 +288,9 @@ fn checkpointing_server_resumes_from_prior_snapshots() {
     let bodies = wait_for_cells(&addr, &keys, Duration::from_secs(120));
 
     // Byte identity despite the mixed resume/corrupt/cold starts.
-    let direct = run_cell(cell, &Supervision::default()).expect("direct run");
+    let direct = run_cell(cell, &Supervision::default(), None)
+        .0
+        .expect("direct run");
     assert_eq!(direct.to_json_pretty(), bodies[0]);
 
     // The recovery is visible: seed 0 resumed, seed 1's garbage was
@@ -317,9 +323,11 @@ fn checkpointing_server_resumes_from_prior_snapshots() {
 }
 
 /// HTTP hardening edges: an oversized request is answered with a
-/// protocol-level `413` (not a silent connection drop), and a client
+/// protocol-level `413` (not a silent connection drop), a client
 /// that stalls without sending a request is cut off by the socket
-/// timeout without wedging the service.
+/// timeout without wedging the service, and a spec whose grid expands
+/// past the run cap is a `400` from the count alone, before anything
+/// is expanded.
 #[test]
 fn oversized_and_stalled_clients_cannot_wedge_the_service() {
     use std::io::{Read, Write};
@@ -359,13 +367,28 @@ fn oversized_and_stalled_clients_cannot_wedge_the_service() {
     assert_eq!(n, 0, "a stalled connection must be cut off, not served");
     drop(stalled);
 
-    // The service is still healthy after both abuses.
+    // Too many runs: 2 tx × 2 algorithms × 2^62 seeds.
+    let spec = SweepSpec {
+        base: tiny_base(),
+        tx_values: vec![150.0, 200.0],
+        algorithms: vec![AlgorithmKind::Lcc, AlgorithmKind::Mobic],
+        seeds: 1 << 62,
+        fault_panic_attempts: 0,
+    };
+    let (code, body) = request(&addr, "POST", "/sweep", &spec.to_json()).expect("submit");
+    assert_eq!(code, 400, "{body}");
+    assert!(body.contains("131072 runs"), "{body}");
+
+    // The service is still healthy after all three abuses, and the
+    // refused spec queued nothing.
     let status = status_json(&addr);
     assert_eq!(
         status["draining"],
         serde_json::Value::Bool(false),
         "{status}"
     );
+    assert_eq!(status["queued"].as_u64(), Some(0), "{status}");
+    assert_eq!(status["cache_misses"].as_u64(), Some(0), "{status}");
 
     let (code, _) = request(&addr, "POST", "/drain", "").expect("drain");
     assert_eq!(code, 200);
