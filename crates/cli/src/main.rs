@@ -44,6 +44,10 @@ fn execute(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             checkpoint_dir,
         } => {
             let dir = checkpoint_dir.as_deref().map(Path::new);
+            if let Some(dir) = dir {
+                // Snapshot writes never create their directory.
+                std::fs::create_dir_all(dir)?;
+            }
             let snap = dir.and_then(|dir| resume_point(&config, seed, dir, trace.is_some()));
             let result = if let Some(path) = &trace {
                 let mut sink = match snap.as_ref().and_then(SimSnapshot::trace_cursor) {

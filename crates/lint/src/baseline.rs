@@ -17,7 +17,7 @@ use std::path::Path;
 /// One tolerated finding, keyed line-free.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaselineEntry {
-    /// Rule name (`transitive-entropy`).
+    /// Rule name (`hot-path-alloc`).
     pub rule: String,
     /// Workspace-relative file.
     pub file: String,
@@ -364,10 +364,10 @@ mod tests {
         let b = parse("{\"version\": 1, \"findings\": []}").expect("parses");
         assert!(b.entries.is_empty());
         let mut a = analysis_with(vec![Finding::new(
-            RuleId::TransitiveEntropy,
+            RuleId::HotPathCallAlloc,
             "crates/sim/src/x.rs",
             3,
-            "reaches a clock".to_string(),
+            "reaches an allocation".to_string(),
         )]);
         b.apply(&mut a);
         assert!(!a.findings[0].baselined);
@@ -377,16 +377,16 @@ mod tests {
     #[test]
     fn matching_entry_baselines_the_finding_line_free() {
         let b = parse(
-            "{\"version\":1,\"findings\":[{\"rule\":\"transitive-entropy\",\
-             \"file\":\"crates/sim/src/x.rs\",\"message\":\"reaches a clock\"}]}",
+            "{\"version\":1,\"findings\":[{\"rule\":\"hot-path-call-alloc\",\
+             \"file\":\"crates/sim/src/x.rs\",\"message\":\"reaches an allocation\"}]}",
         )
         .expect("parses");
         // Line 99 on purpose: the key ignores lines.
         let mut a = analysis_with(vec![Finding::new(
-            RuleId::TransitiveEntropy,
+            RuleId::HotPathCallAlloc,
             "crates/sim/src/x.rs",
             99,
-            "reaches a clock".to_string(),
+            "reaches an allocation".to_string(),
         )]);
         b.apply(&mut a);
         assert!(a.findings[0].baselined);
@@ -422,18 +422,18 @@ mod tests {
     #[test]
     fn render_round_trips_through_parse() {
         let a = analysis_with(vec![Finding::new(
-            RuleId::DepPolicy,
-            "crates/net/Cargo.toml",
+            RuleId::HotPathAlloc,
+            "crates/net/src/x.rs",
             42,
-            "license `GPL` is not allowed — \"quoted\"".to_string(),
+            "allocation in hot-path region: `format!` — \"quoted\"".to_string(),
         )]);
         let text = render(&a);
         let b = parse(&text).expect("rendered baseline parses");
         assert_eq!(b.entries.len(), 1);
-        assert_eq!(b.entries[0].rule, "dep-policy");
+        assert_eq!(b.entries[0].rule, "hot-path-alloc");
         assert_eq!(
             b.entries[0].message,
-            "license `GPL` is not allowed — \"quoted\""
+            "allocation in hot-path region: `format!` — \"quoted\""
         );
     }
 

@@ -7,8 +7,7 @@
 //!
 //! * **function items** — name, owning `impl`/`trait` type, file,
 //!   declaration line, body span, visibility, `#[cfg(test)]`
-//!   membership, and any direct entropy/panic/allocation sink the body
-//!   contains;
+//!   membership, and the first direct allocation the body contains;
 //! * **call sites** — bare calls (`helper(…)`), qualified-path calls
 //!   (`SimTime::from_seconds(…)`, `table::merge_into(…)`), and method
 //!   calls (`x.advance(…)`), each tagged with its line and whether it
@@ -27,9 +26,7 @@
 //! stays auditable.
 
 use crate::lexer::{split_lines, Line};
-use crate::rules::{
-    self, Allow, Finding, RuleId, ENTROPY_NEEDLES, FLOW_PANIC_NEEDLES, HOT_ALLOC_NEEDLES,
-};
+use crate::rules::{self, Allow, Finding, RuleId, HOT_ALLOC_NEEDLES};
 use std::collections::BTreeMap;
 
 /// How a call site was matched against the workspace function index.
@@ -99,12 +96,11 @@ pub struct Call {
     pub resolution: Resolution,
 }
 
-/// A direct sink hit inside a function body (an entropy read, an
-/// abort, or an allocation), used as a flow seed and as the terminal
-/// hop of witness chains.
+/// A direct allocation inside a function body, used as a flow seed
+/// and as the terminal hop of witness chains.
 #[derive(Debug, Clone)]
 pub struct SinkHit {
-    /// Short description of the sink (`` `Instant` ``, `` bare `.unwrap()` ``).
+    /// Short description of the sink (`` `Vec::new` ``).
     pub what: String,
     /// 1-based line of the sink token.
     pub line: usize,
@@ -134,10 +130,6 @@ pub struct FnItem {
     /// directive, if any — a sanctioned amortized-allocation boundary
     /// for the `hot-path-call-alloc` rule.
     pub cold: Option<String>,
-    /// First direct ambient-entropy sink in the body.
-    pub entropy_sink: Option<SinkHit>,
-    /// First direct panic-class sink in the body.
-    pub panic_sink: Option<SinkHit>,
     /// First direct allocation sink in the body.
     pub alloc_sink: Option<SinkHit>,
     /// Every call site in the body, in source order.
@@ -448,9 +440,9 @@ fn extract_file(path: &str, source: &str, graph: &mut Graph) {
         }
     }
 
-    // Direct sinks: scan each body line owned by a function. A line
-    // blessed by `lint:allow` for the corresponding flow rule (or, for
-    // allocations, `hot-path-alloc`) is not a seed — the suppression
+    // Direct allocations: scan each body line owned by a function. A
+    // line blessed by `lint:allow(hot-path-alloc)` or
+    // `lint:allow(hot-path-call-alloc)` is not a seed — the suppression
     // covers the site.
     for (idx, line) in lines.iter().enumerate() {
         let Some(fid) = fn_at_line[idx] else {
@@ -459,37 +451,15 @@ fn extract_file(path: &str, source: &str, graph: &mut Graph) {
         if is_test[idx] {
             continue;
         }
-        let allowed = |rules: &[RuleId]| {
-            directives.allows[idx]
-                .iter()
-                .chain(
-                    idx.checked_sub(1)
-                        .map_or([].iter(), |p| directives.allows[p].iter()),
-                )
-                .any(|a| rules.contains(&a.rule))
-        };
+        let allowed = directives.allows[idx]
+            .iter()
+            .chain(
+                idx.checked_sub(1)
+                    .map_or([].iter(), |p| directives.allows[p].iter()),
+            )
+            .any(|a| matches!(a.rule, RuleId::HotPathAlloc | RuleId::HotPathCallAlloc));
         let f = &mut graph.fns[fid];
-        if f.entropy_sink.is_none() && !allowed(&[RuleId::TransitiveEntropy]) {
-            rules::scan_needles(&line.code, ENTROPY_NEEDLES, |n| {
-                if f.entropy_sink.is_none() {
-                    f.entropy_sink = Some(SinkHit {
-                        what: format!("`{}`", n.pat),
-                        line: idx + 1,
-                    });
-                }
-            });
-        }
-        if f.panic_sink.is_none() && !allowed(&[RuleId::PanicReachability]) {
-            rules::scan_needles(&line.code, FLOW_PANIC_NEEDLES, |n| {
-                if f.panic_sink.is_none() {
-                    f.panic_sink = Some(SinkHit {
-                        what: n.msg.to_string(),
-                        line: idx + 1,
-                    });
-                }
-            });
-        }
-        if f.alloc_sink.is_none() && !allowed(&[RuleId::HotPathAlloc, RuleId::HotPathCallAlloc]) {
+        if f.alloc_sink.is_none() && !allowed {
             rules::scan_needles(&line.code, HOT_ALLOC_NEEDLES, |n| {
                 if f.alloc_sink.is_none() {
                     f.alloc_sink = Some(SinkHit {
@@ -537,8 +507,6 @@ fn graph_push_fn(
         is_pub,
         is_test,
         cold: None,
-        entropy_sink: None,
-        panic_sink: None,
         alloc_sink: None,
         calls: Vec::new(),
     });
@@ -1003,28 +971,48 @@ mod tests {
     #[test]
     fn direct_sinks_are_recorded_outside_tests_only() {
         let g = build_one(
-            "pub fn risky() { let t = Instant::now(); x.unwrap(); }\n\
+            "pub fn grows() { let v: Vec<u32> = Vec::new(); }\n\
              #[cfg(test)]\n\
              mod tests {\n\
-                 fn t() { let i = Instant::now(); }\n\
+                 fn t() { let v: Vec<u32> = Vec::new(); }\n\
              }\n",
         );
-        let risky = find(&g, "risky");
-        assert_eq!(risky.entropy_sink.as_ref().unwrap().what, "`Instant`");
-        assert_eq!(risky.panic_sink.as_ref().unwrap().what, "bare `.unwrap()`");
+        let grows = find(&g, "grows");
+        assert_eq!(grows.alloc_sink.as_ref().unwrap().what, "`Vec::new`");
         let t = find(&g, "t");
-        assert!(t.is_test && t.entropy_sink.is_none());
+        assert!(t.is_test && t.alloc_sink.is_none());
+    }
+
+    #[test]
+    fn fns_under_a_spread_attribute_on_a_test_module_are_test_code() {
+        // rustfmt spreads a long `#[expect(…)]` over several lines; the
+        // module under it is still `#[cfg(test)]`.
+        let g = build_one(
+            "pub fn run() {}\n\
+             #[cfg(test)]\n\
+             #[expect(\n\
+                 clippy::disallowed_methods,\n\
+                 reason = \"plants a corrupt file on purpose\"\n\
+             )]\n\
+             mod tests {\n\
+                 fn run() { let v: Vec<u32> = Vec::new(); }\n\
+             }\n",
+        );
+        let (lib, test): (Vec<&FnItem>, Vec<&FnItem>) =
+            g.fns.iter().partition(|f| f.decl_line == 1);
+        assert!(!lib[0].is_test);
+        assert!(test[0].is_test && test[0].alloc_sink.is_none(), "{test:?}");
     }
 
     #[test]
     fn allowed_sink_lines_do_not_seed() {
         let g = build_one(
-            "pub fn timed() {\n\
-                 // lint:allow(transitive-entropy): operator progress meter\n\
-                 let t = Instant::now();\n\
+            "pub fn warm() {\n\
+                 // lint:allow(hot-path-call-alloc): sized once at startup\n\
+                 let v: Vec<u32> = Vec::with_capacity(64);\n\
              }\n",
         );
-        assert!(find(&g, "timed").entropy_sink.is_none());
+        assert!(find(&g, "warm").alloc_sink.is_none());
     }
 
     #[test]
@@ -1160,12 +1148,12 @@ mod tests {
     fn nested_fns_own_their_lines() {
         let g = build_one(
             "pub fn outer() {\n\
-                 fn inner() { let t = Instant::now(); }\n\
+                 fn inner() { let v: Vec<u32> = Vec::new(); }\n\
                  inner();\n\
              }\n",
         );
-        assert!(find(&g, "outer").entropy_sink.is_none());
-        assert!(find(&g, "inner").entropy_sink.is_some());
+        assert!(find(&g, "outer").alloc_sink.is_none());
+        assert!(find(&g, "inner").alloc_sink.is_some());
         let outer = find(&g, "outer");
         assert_eq!(outer.calls.len(), 1, "{:?}", outer.calls);
         assert_eq!(outer.calls[0].name, "inner");

@@ -4,7 +4,7 @@
 //! The scanner's rules are token searches over source text, so the one
 //! thing the lexer must get right is **what is code**: string/char
 //! literal contents and comments must never produce findings
-//! (`"thread_rng"` inside an error message is not an entropy source),
+//! (`"Vec::new"` inside an error message is not an allocation),
 //! while comments must still be readable separately because the lint
 //! directives (`lint:allow`, `lint:hot-path`) live in them.
 //!

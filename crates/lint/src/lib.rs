@@ -1,30 +1,28 @@
 //! `mobic-lint`: a zero-external-dependency static-analysis pass for
-//! the workspace invariants that clippy cannot check.
+//! the workspace invariant that clippy cannot check: the steady-state
+//! loop allocates nothing.
 //!
 //! Clippy enforces the per-line bans (`clippy.toml`'s
 //! `disallowed-types`/`disallowed-methods`, and the panic lints the
-//! typed-error crates deny). What it cannot see is a property of a
-//! *region* or a *call chain*, or of the manifests: an allocation
-//! inside a `lint:hot-path` region, a clock or panic reached through
-//! any number of calls, a package resolved at two versions. Those are
-//! this crate's.
+//! crates deny in their `lib.rs`); workspace tests pin the dependency
+//! graph, the lockfile and the licenses. What clippy cannot see is a
+//! property of a *region* or a *call chain*: an allocation inside a
+//! `lint:hot-path` region, directly or any number of calls down. That
+//! is this crate's.
 //!
 //! The analysis runs in two phases. Phase 1 is per-file: [`lexer`]
 //! (code/comment shadows) → [`rules`] (hot-path regions + `lint:`
-//! directives) → [`deps`] (offline `Cargo.lock`/manifest policy).
-//! Phase 2 is flow-aware: [`graph`] (function items + conservative
-//! intra-workspace call graph) → [`flow`] (fixpoint reachability for
-//! `transitive-entropy`, `panic-reachability`, `hot-path-call-alloc`,
-//! with witness chains). [`baseline`] diffs findings against a
-//! checked-in inventory so CI fails only on *new* findings, and
-//! [`report`] renders human, JSON, fix-plan, and `--graph-json`
-//! output. See `DESIGN.md` §8 for the rule catalog and suppression
-//! policy.
+//! directives). Phase 2 is flow-aware: [`graph`] (function items +
+//! conservative intra-workspace call graph) → [`flow`] (fixpoint
+//! reachability for `hot-path-call-alloc`, with witness chains).
+//! [`baseline`] diffs findings against a checked-in inventory so CI
+//! fails only on *new* findings, and [`report`] renders human and
+//! `--graph-json` output. See `DESIGN.md` §8 for the rule catalog and
+//! suppression policy.
 
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod deps;
 pub mod flow;
 pub mod graph;
 pub mod lexer;
@@ -47,8 +45,7 @@ pub struct Analysis {
     pub files_scanned: usize,
     /// Number of function items in the call graph.
     pub functions: usize,
-    /// Non-fatal notes (e.g. an absent `Cargo.lock`, stale baseline
-    /// entries).
+    /// Non-fatal notes (stale baseline entries).
     pub notes: Vec<String>,
 }
 
@@ -99,16 +96,12 @@ pub fn discover_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 
 /// `true` if a workspace-relative path participates in the call
 /// graph: crate library/binary sources only (`crates/<name>/src/…`),
-/// minus the crates the policy skips (the linter itself). Test trees,
-/// benches, examples, and the facade `src/lib.rs` stay out — nothing
-/// in a crate's `src/` can call into them, and their helpers must not
-/// capture bare-name resolution.
+/// minus the linter itself. Test trees, benches, examples, and the
+/// facade `src/lib.rs` stay out — nothing in a crate's `src/` can call
+/// into them, and their helpers must not capture bare-name resolution.
 #[must_use]
 pub fn graph_eligible(rel: &str) -> bool {
-    let Some(crate_name) = rules::crate_of_path(rel) else {
-        return false;
-    };
-    !rules::crate_policy(crate_name).is_some_and(|p| p.skip)
+    rules::crate_of_path(rel).is_some() && !rules::is_linter_path(rel)
 }
 
 /// Runs the full analysis over a workspace root and returns the
@@ -137,9 +130,6 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<(Analysis, graph::Graph
             graph_files.push((rel_str, source));
         }
     }
-    let (dep_findings, notes) = deps::check(root);
-    findings.extend(dep_findings);
-
     let call_graph = graph::build(&graph_files);
     findings.extend(call_graph.findings.iter().cloned());
     findings.extend(flow::check(&call_graph));
@@ -149,15 +139,15 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<(Analysis, graph::Graph
             findings,
             files_scanned,
             functions: call_graph.fns.len(),
-            notes,
+            notes: Vec::new(),
         },
         call_graph,
     ))
 }
 
 /// Runs the full analysis over a workspace root: every source rule on
-/// every discovered file, the flow rules over the call graph, and the
-/// `dep-policy` manifest checks.
+/// every discovered file and `hot-path-call-alloc` over the call
+/// graph.
 ///
 /// # Errors
 ///

@@ -1,8 +1,8 @@
 //! The `mobic-lint` command-line entry point.
 //!
 //! ```text
-//! mobic-lint [--root <path>] [--json | --fix-plan | --graph-json]
-//!            [--baseline <file>] [--emit-baseline]
+//! mobic-lint [--root <path>] [--graph-json | --emit-baseline]
+//!            [--baseline <file>]
 //! ```
 //!
 //! Exit codes: `0` clean, `1` unsuppressed (and unbaselined) findings,
@@ -15,26 +15,21 @@ use std::process::ExitCode;
 
 enum Mode {
     Human,
-    Json,
-    FixPlan,
     GraphJson,
     EmitBaseline,
 }
 
 fn usage() -> &'static str {
-    "usage: mobic-lint [--root <path>] [--json | --fix-plan | --graph-json]\n\
-     \x20                 [--baseline <file>] [--emit-baseline]\n\
+    "usage: mobic-lint [--root <path>] [--graph-json | --emit-baseline]\n\
+     \x20                 [--baseline <file>]\n\
      \n\
-     Scans the workspace for allocations in `lint:hot-path` regions,\n\
-     malformed `lint:` directives and dependency-policy violations, and\n\
-     runs the call-graph flow rules (transitive-entropy,\n\
-     panic-reachability, hot-path-call-alloc). The per-line bans on hash\n\
+     Scans the workspace for allocations in `lint:hot-path` regions, directly\n\
+     (hot-path-alloc) or through the calls made there (hot-path-call-alloc),\n\
+     and for malformed `lint:` directives. The per-line bans on hash\n\
      containers, clocks, the environment, panics and raw writes are\n\
-     clippy's (`clippy.toml`).\n\
+     clippy's (`clippy.toml` and the crates' `#![deny(...)]`s).\n\
      \n\
        --root <path>     workspace root (default: nearest [workspace] manifest)\n\
-       --json            machine-readable output\n\
-       --fix-plan        markdown triage checklist grouped by rule\n\
        --graph-json      dump the call graph (functions, calls, resolution)\n\
        --baseline <f>    accept findings listed in <f>; fail only on NEW ones\n\
        --emit-baseline   print the current findings as a baseline file\n"
@@ -62,8 +57,6 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => mode = Mode::Json,
-            "--fix-plan" => mode = Mode::FixPlan,
             "--graph-json" => mode = Mode::GraphJson,
             "--emit-baseline" => mode = Mode::EmitBaseline,
             "--root" => match args.next() {
@@ -116,12 +109,7 @@ fn main() -> ExitCode {
 
     match mode {
         Mode::Human => print!("{}", mobic_lint::report::render_human(&analysis)),
-        Mode::Json => print!("{}", mobic_lint::report::render_json(&analysis)),
-        Mode::FixPlan => print!("{}", mobic_lint::report::render_fix_plan(&analysis)),
-        Mode::GraphJson => print!(
-            "{}",
-            mobic_lint::report::render_graph_json(&graph, &analysis)
-        ),
+        Mode::GraphJson => print!("{}", mobic_lint::report::render_graph_json(&graph)),
         Mode::EmitBaseline => print!("{}", mobic_lint::baseline::render(&analysis)),
     }
 

@@ -1,6 +1,5 @@
-//! Rendering of analysis results: human diagnostics, `--json` machine
-//! output, the `--fix-plan` triage checklist, and the `--graph-json`
-//! call-graph dump.
+//! Rendering of analysis results: human diagnostics and the
+//! `--graph-json` call-graph dump.
 //!
 //! JSON is emitted by hand (the linter is zero-dependency, so no
 //! serde); the only subtlety is string escaping, which
@@ -8,7 +7,7 @@
 //! can actually appear in paths and messages.
 
 use crate::graph::Graph;
-use crate::rules::{Finding, RuleId, ALL_RULES};
+use crate::rules::Finding;
 use crate::Analysis;
 use std::fmt::Write as _;
 
@@ -101,119 +100,12 @@ pub fn render_human(analysis: &Analysis) -> String {
     out
 }
 
-fn finding_json(f: &Finding) -> String {
-    let mut s = format!(
-        "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"",
-        f.rule.name(),
-        escape_json(&f.file),
-        f.line,
-        escape_json(&f.message)
-    );
-    if let Some(reason) = &f.reason {
-        let _ = write!(s, ",\"reason\":\"{}\"", escape_json(reason));
-    }
-    if !f.witness.is_empty() {
-        let hops: Vec<String> = f
-            .witness
-            .iter()
-            .map(|h| {
-                format!(
-                    "{{\"what\":\"{}\",\"file\":\"{}\",\"line\":{}}}",
-                    escape_json(&h.what),
-                    escape_json(&h.file),
-                    h.line
-                )
-            })
-            .collect();
-        let _ = write!(s, ",\"witness\":[{}]", hops.join(","));
-    }
-    s.push('}');
-    s
-}
-
-/// Renders the analysis as a single JSON object:
-/// `{"files_scanned": N, "functions": N, "findings": […],
-/// "baselined": […], "suppressed": […], "notes": […]}`.
-#[must_use]
-pub fn render_json(analysis: &Analysis) -> String {
-    let active: Vec<String> = analysis
-        .findings
-        .iter()
-        .filter(|f| is_active(f))
-        .map(finding_json)
-        .collect();
-    let baselined: Vec<String> = analysis
-        .findings
-        .iter()
-        .filter(|f| f.baselined && !f.suppressed)
-        .map(finding_json)
-        .collect();
-    let suppressed: Vec<String> = analysis
-        .findings
-        .iter()
-        .filter(|f| f.suppressed)
-        .map(finding_json)
-        .collect();
-    let notes: Vec<String> = analysis
-        .notes
-        .iter()
-        .map(|n| format!("\"{}\"", escape_json(n)))
-        .collect();
-    format!(
-        "{{\"files_scanned\":{},\"functions\":{},\"findings\":[{}],\"baselined\":[{}],\
-         \"suppressed\":[{}],\"notes\":[{}]}}\n",
-        analysis.files_scanned,
-        analysis.functions,
-        active.join(","),
-        baselined.join(","),
-        suppressed.join(","),
-        notes.join(",")
-    )
-}
-
-/// Renders a markdown triage checklist of unsuppressed findings,
-/// grouped by rule in catalog order (the `--fix-plan` mode). Flow
-/// findings render their witness chain under the checklist item, one
-/// line per hop (entry → … → sink), so the plan is actionable
-/// without re-running the tool.
-#[must_use]
-pub fn render_fix_plan(analysis: &Analysis) -> String {
-    let mut out = String::from("# mobic-lint fix plan\n");
-    let active: Vec<&Finding> = analysis.findings.iter().filter(|f| is_active(f)).collect();
-    if active.is_empty() {
-        out.push_str("\nNo unsuppressed findings — the workspace is clean.\n");
-        return out;
-    }
-    for rule in ALL_RULES {
-        let of_rule: Vec<&&Finding> = active.iter().filter(|f| f.rule == rule).collect();
-        if of_rule.is_empty() {
-            continue;
-        }
-        let _ = write!(out, "\n## {} ({})\n\n", rule.name(), of_rule.len());
-        let _ = writeln!(out, "{}", rule_fix_hint(rule));
-        for f in of_rule {
-            let _ = writeln!(out, "- [ ] `{}:{}` — {}", f.file, f.line, f.message);
-            for (i, hop) in f.witness.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "  {}. {} — `{}:{}`",
-                    i + 1,
-                    hop.what,
-                    hop.file,
-                    hop.line
-                );
-            }
-        }
-    }
-    out
-}
-
 /// Renders the call graph machine-readably (the `--graph-json` mode):
 /// every function item with its resolution-annotated calls, plus the
-/// findings and summary counters. External calls are kept — the
-/// resolution policy itself must stay auditable.
+/// summary counters. External calls are kept — the resolution policy
+/// itself must stay auditable.
 #[must_use]
-pub fn render_graph_json(graph: &Graph, analysis: &Analysis) -> String {
+pub fn render_graph_json(graph: &Graph) -> String {
     let mut fns = Vec::with_capacity(graph.fns.len());
     for f in &graph.fns {
         let mut s = format!(
@@ -238,19 +130,13 @@ pub fn render_graph_json(graph: &Graph, analysis: &Analysis) -> String {
         if let Some(reason) = &f.cold {
             let _ = write!(s, ",\"cold\":\"{}\"", escape_json(reason));
         }
-        for (key, sink) in [
-            ("entropy_sink", &f.entropy_sink),
-            ("panic_sink", &f.panic_sink),
-            ("alloc_sink", &f.alloc_sink),
-        ] {
-            if let Some(hit) = sink {
-                let _ = write!(
-                    s,
-                    ",\"{key}\":{{\"what\":\"{}\",\"line\":{}}}",
-                    escape_json(&hit.what),
-                    hit.line
-                );
-            }
+        if let Some(hit) = &f.alloc_sink {
+            let _ = write!(
+                s,
+                ",\"alloc_sink\":{{\"what\":\"{}\",\"line\":{}}}",
+                escape_json(&hit.what),
+                hit.line
+            );
         }
         let calls: Vec<String> = f
             .calls
@@ -285,67 +171,35 @@ pub fn render_graph_json(graph: &Graph, analysis: &Analysis) -> String {
         let _ = write!(s, ",\"calls\":[{}]}}", calls.join(","));
         fns.push(s);
     }
-    let findings: Vec<String> = analysis
-        .findings
-        .iter()
-        .filter(|f| is_active(f))
-        .map(finding_json)
-        .collect();
     format!(
-        "{{\"functions\":[{}],\"function_count\":{},\"external_calls\":{},\"findings\":[{}]}}\n",
+        "{{\"functions\":[{}],\"function_count\":{},\"external_calls\":{}}}\n",
         fns.join(","),
         graph.fns.len(),
-        graph.external_calls(),
-        findings.join(",")
+        graph.external_calls()
     )
-}
-
-/// One-line remediation guidance per rule, shown in the fix plan.
-fn rule_fix_hint(rule: RuleId) -> &'static str {
-    match rule {
-        RuleId::HotPathAlloc => {
-            "Reuse a scratch buffer owned by the caller, or move the allocation out \
-             of the region."
-        }
-        RuleId::DepPolicy => "Unify the dependency requirements / fix the manifest license field.",
-        RuleId::Directive => "Fix the `lint:` directive syntax (these are never suppressible).",
-        RuleId::TransitiveEntropy => {
-            "Thread a `SeedSplitter` stream (or `mobic_trace::profile` clock) down the \
-             call chain instead of reaching the ambient source; the witness below is \
-             the laundering path."
-        }
-        RuleId::PanicReachability => {
-            "Convert the chain to the typed error, or document the invariant with \
-             `.expect(\"…\")` at the sink."
-        }
-        RuleId::HotPathCallAlloc => {
-            "Hoist the allocation out of the callee, or mark the callee \
-             `// lint:cold-path: <reason>` if its cost is amortized by design."
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::WitnessHop;
+    use crate::rules::{RuleId, WitnessHop};
 
     fn sample() -> Analysis {
         let mut flow = Finding::new(
-            RuleId::PanicReachability,
-            "crates/scenario/src/runner.rs",
+            RuleId::HotPathCallAlloc,
+            "crates/net/src/delivery.rs",
             12,
-            "public `run_scenario` can reach bare `.unwrap()` in 2 call hop(s)".to_string(),
+            "hot-path call to `stage` reaches `Vec::new`".to_string(),
         );
         flow.witness = vec![
             WitnessHop {
-                what: "calls `prepare`".to_string(),
-                file: "crates/scenario/src/runner.rs".to_string(),
-                line: 14,
+                what: "calls `stage` from a `lint:hot-path` region".to_string(),
+                file: "crates/net/src/delivery.rs".to_string(),
+                line: 12,
             },
             WitnessHop {
-                what: "hits bare `.unwrap()`".to_string(),
-                file: "crates/mobility/src/rwp.rs".to_string(),
+                what: "hits `Vec::new`".to_string(),
+                file: "crates/net/src/stage.rs".to_string(),
                 line: 80,
             },
         ];
@@ -361,17 +215,17 @@ mod tests {
                     rule: RuleId::HotPathCallAlloc,
                     file: "crates/sim/src/y.rs".to_string(),
                     line: 3,
-                    message: "wall-clock \"read\"".to_string(),
+                    message: "hot-path call to `grow` reaches `Vec::new`".to_string(),
                     suppressed: true,
-                    reason: Some("progress timer".to_string()),
+                    reason: Some("grows once, then reused".to_string()),
                     witness: Vec::new(),
                     baselined: false,
                 },
                 Finding {
-                    rule: RuleId::TransitiveEntropy,
+                    rule: RuleId::HotPathAlloc,
                     file: "crates/core/src/z.rs".to_string(),
                     line: 5,
-                    message: "old known laundering path".to_string(),
+                    message: "old known allocation".to_string(),
                     suppressed: false,
                     reason: None,
                     witness: Vec::new(),
@@ -386,82 +240,34 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_quotes_and_separates_tiers() {
-        let json = render_json(&sample());
-        assert!(json.contains("\\\"read\\\""));
-        assert!(json.contains("\"findings\":[{\"rule\":\"hot-path-alloc\""));
-        assert!(json.contains("\"suppressed\":[{\"rule\":\"hot-path-call-alloc\""));
-        assert!(json.contains("\"baselined\":[{\"rule\":\"transitive-entropy\""));
-        assert!(json.contains("\"reason\":\"progress timer\""));
-        assert!(json.contains("\"files_scanned\":2"));
-        assert!(json.contains("\"functions\":4"));
-        assert!(
-            json.contains("\"witness\":[{\"what\":\"calls `prepare`\""),
-            "flow findings carry their witness: {json}"
-        );
-    }
-
-    #[test]
     fn human_output_lists_all_tiers_and_witness_hops() {
         let text = render_human(&sample());
         assert!(text.contains("error[hot-path-alloc]"));
         assert!(text.contains("crates/net/src/x.rs:7"));
         assert!(text.contains("suppressed findings (1):"));
         assert!(text.contains("baselined findings (1):"));
-        assert!(text.contains("1: calls `prepare` (crates/scenario/src/runner.rs:14)"));
-        assert!(text.contains("2: hits bare `.unwrap()` (crates/mobility/src/rwp.rs:80)"));
+        assert!(text.contains(
+            "1: calls `stage` from a `lint:hot-path` region (crates/net/src/delivery.rs:12)"
+        ));
+        assert!(text.contains("2: hits `Vec::new` (crates/net/src/stage.rs:80)"));
         assert!(text.contains("2 finding(s) (1 suppressed, 1 baselined)"));
-    }
-
-    #[test]
-    fn fix_plan_groups_by_rule_and_renders_witness_chains() {
-        let plan = render_fix_plan(&sample());
-        assert!(plan.contains("## hot-path-alloc (1)"));
-        assert!(plan.contains("- [ ] `crates/net/src/x.rs:7`"));
-        assert!(
-            !plan.contains("hot-path-call-alloc (1)"),
-            "suppressed excluded"
-        );
-        assert!(!plan.contains("old known laundering"), "baselined excluded");
-        assert!(plan.contains("## panic-reachability (1)"));
-        assert!(
-            plan.contains("  1. calls `prepare` — `crates/scenario/src/runner.rs:14`"),
-            "one line per hop: {plan}"
-        );
-        assert!(plan.contains("  2. hits bare `.unwrap()` — `crates/mobility/src/rwp.rs:80`"));
-    }
-
-    #[test]
-    fn clean_fix_plan_says_so() {
-        let clean = Analysis {
-            findings: Vec::new(),
-            files_scanned: 5,
-            functions: 9,
-            notes: Vec::new(),
-        };
-        assert!(render_fix_plan(&clean).contains("clean"));
     }
 
     #[test]
     fn graph_json_parses_and_names_functions() {
         let graph = crate::graph::build(&[(
             "crates/sim/src/engine.rs".to_string(),
-            "pub fn step() { helper(); }\nfn helper() { let t = Instant::now(); }\n".to_string(),
+            "pub fn step() { helper(); }\nfn helper() { let v: Vec<u32> = Vec::new(); }\n"
+                .to_string(),
         )]);
-        let analysis = Analysis {
-            findings: Vec::new(),
-            files_scanned: 1,
-            functions: graph.fns.len(),
-            notes: Vec::new(),
-        };
-        let dump = render_graph_json(&graph, &analysis);
+        let dump = render_graph_json(&graph);
         let parsed = crate::baseline::Json::parse(&dump).expect("dump must be valid JSON");
         assert_eq!(
             parsed.get("function_count"),
             Some(&crate::baseline::Json::Number(2.0))
         );
         assert!(dump.contains("\"name\":\"step\""));
-        assert!(dump.contains("\"entropy_sink\":{\"what\":\"`Instant`\""));
+        assert!(dump.contains("\"alloc_sink\":{\"what\":\"`Vec::new`\""));
         assert!(dump.contains("\"resolution\":\"unique\""));
     }
 

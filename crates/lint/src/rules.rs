@@ -1,14 +1,12 @@
-//! The rule catalog, the crate policy, and the per-file scanning
-//! engine.
+//! The rule catalog and the per-file scanning engine.
 //!
 //! The per-file rules search the *code shadow* produced by
 //! [`crate::lexer`] (so literals and comments can never trigger a
 //! finding) for allocations inside `lint:hot-path` regions and for
 //! malformed `lint:` directives. The per-line bans on hash containers,
 //! ambient entropy, panics and raw writes are clippy's, configured in
-//! `clippy.toml`; the needle tables here that name the same tokens
-//! only seed the flow rules. See `DESIGN.md` §8 for the rationale
-//! behind each rule and the suppression policy.
+//! `clippy.toml` and the crates' `#![deny(...)]`s. See `DESIGN.md` §8
+//! for the rationale behind each rule and the suppression policy.
 
 use crate::lexer::{split_lines, Line};
 
@@ -18,23 +16,9 @@ pub enum RuleId {
     /// Allocation inside a `// lint:hot-path` region: the steady-state
     /// loop's zero-allocation guarantee (PR 3), proven statically.
     HotPathAlloc,
-    /// `Cargo.lock`/manifest policy: no package resolved at two
-    /// versions, workspace licenses on the allowlist.
-    DepPolicy,
     /// A malformed lint directive (unknown rule in `lint:allow`,
     /// missing reason string). Not suppressible.
     Directive,
-    /// A function in a result-affecting crate that *transitively*
-    /// reaches an ambient-entropy or wall-clock sink through the
-    /// workspace call graph — the laundering path clippy's per-crate
-    /// `disallowed-*` lists cannot see (e.g. a `sim` function calling
-    /// a `sweepd` helper that reads `Instant`).
-    TransitiveEntropy,
-    /// A public library entry point of a typed-error crate that can
-    /// reach an explicit abort (`panic!`/`todo!`/`unimplemented!`) or
-    /// an undocumented `.unwrap()` through any number of call hops.
-    /// The witness call chain is attached to the finding.
-    PanicReachability,
     /// A call inside a `// lint:hot-path` region whose workspace
     /// callee allocates (directly or transitively) — the allocation
     /// one frame down that the per-line `hot-path-alloc` needles
@@ -49,19 +33,16 @@ impl RuleId {
     pub fn name(self) -> &'static str {
         match self {
             RuleId::HotPathAlloc => "hot-path-alloc",
-            RuleId::DepPolicy => "dep-policy",
             RuleId::Directive => "lint-directive",
-            RuleId::TransitiveEntropy => "transitive-entropy",
-            RuleId::PanicReachability => "panic-reachability",
             RuleId::HotPathCallAlloc => "hot-path-call-alloc",
         }
     }
 
-    /// `true` for the rules that `lint:allow` may never cover:
-    /// directive-syntax errors and manifest policy.
+    /// `true` for the rule that `lint:allow` may never cover:
+    /// directive-syntax errors.
     #[must_use]
     pub fn unsuppressible(self) -> bool {
-        matches!(self, RuleId::Directive | RuleId::DepPolicy)
+        self == RuleId::Directive
     }
 
     /// Parses a rule name as written in a `lint:allow(...)` directive.
@@ -72,12 +53,9 @@ impl RuleId {
 }
 
 /// Every rule, in catalog order.
-pub const ALL_RULES: [RuleId; 6] = [
+pub const ALL_RULES: [RuleId; 3] = [
     RuleId::HotPathAlloc,
-    RuleId::TransitiveEntropy,
-    RuleId::PanicReachability,
     RuleId::HotPathCallAlloc,
-    RuleId::DepPolicy,
     RuleId::Directive,
 ];
 
@@ -159,32 +137,6 @@ const fn needle(
     }
 }
 
-/// Flow sinks for `transitive-entropy`: ambient RNG, wall clocks, the
-/// environment and host parallelism. Clippy bans the direct uses
-/// (root `clippy.toml`); the flow rule finds the indirect ones.
-pub(crate) const ENTROPY_NEEDLES: &[Needle] = &[
-    needle("thread_rng", true, true, "ambient RNG"),
-    needle("from_entropy", true, true, "ambient RNG seeding"),
-    needle("getrandom", true, true, "ambient RNG"),
-    needle("SystemTime", true, true, "wall-clock read"),
-    needle("Instant", true, true, "wall-clock read"),
-    needle("env::var", true, false, "environment read"),
-    needle("available_parallelism", true, true, "host-parallelism read"),
-];
-
-/// Flow sinks for `panic-reachability`: explicit aborts plus *bare*
-/// `.unwrap()`. A documented `.expect("invariant")` is the sanctioned
-/// invariant-assertion idiom outside the typed-error crates (the
-/// advisory `[workspace.lints]` tier surfaces those), so it is not a
-/// flow sink; inside the typed-error crates clippy denies both forms
-/// directly (`#![deny(clippy::unwrap_used, clippy::expect_used, …)]`).
-pub(crate) const FLOW_PANIC_NEEDLES: &[Needle] = &[
-    needle(".unwrap()", false, false, "bare `.unwrap()`"),
-    needle("panic!", true, false, "`panic!`"),
-    needle("todo!", true, false, "`todo!`"),
-    needle("unimplemented!", true, false, "`unimplemented!`"),
-];
-
 pub(crate) const HOT_ALLOC_NEEDLES: &[Needle] = &[
     needle(
         "Vec::new",
@@ -249,171 +201,6 @@ pub(crate) const HOT_ALLOC_NEEDLES: &[Needle] = &[
     ),
 ];
 
-/// One row of the workspace crate policy: which of the linter's rules
-/// apply to a crate under `crates/`. The per-line bans live in
-/// `clippy.toml` instead (the root file, or the crate's own).
-///
-/// Every crate **must** have a row (enforced by the
-/// `every_crate_has_a_policy_row` self-test) so that a new crate is a
-/// deliberate policy decision rather than a silent default — exactly
-/// what went wrong when `sweepd` landed without a row and inherited
-/// default scoping until someone remembered to bless it.
-#[derive(Debug)]
-pub struct CratePolicy {
-    /// Directory name under `crates/`.
-    pub name: &'static str,
-    /// Code influences `RunResult` bytes: the `transitive-entropy`
-    /// flow rule applies.
-    pub result_affecting: bool,
-    /// Public lib functions are `panic-reachability` entry points.
-    pub panic_entry: bool,
-    /// The scanner skips the crate entirely.
-    pub skip: bool,
-    /// Why the row is what it is (shown in `--graph-json`).
-    pub why: &'static str,
-}
-
-const fn row(
-    name: &'static str,
-    result_affecting: bool,
-    panic_entry: bool,
-    skip: bool,
-    why: &'static str,
-) -> CratePolicy {
-    CratePolicy {
-        name,
-        result_affecting,
-        panic_entry,
-        skip,
-        why,
-    }
-}
-
-/// The single source of truth for per-crate rule scoping. Columns:
-/// `(name, result_affecting, panic_entry, skip)`.
-pub const CRATE_POLICY: &[CratePolicy] = &[
-    row(
-        "bench",
-        false,
-        false,
-        false,
-        "operator tooling: experiment binaries",
-    ),
-    row(
-        "cli",
-        false,
-        false,
-        false,
-        "operator tooling: the mobic CLI",
-    ),
-    row(
-        "core",
-        true,
-        false,
-        false,
-        "clustering state machine feeds RunResult",
-    ),
-    row(
-        "geom",
-        true,
-        false,
-        false,
-        "geometry primitives feed RunResult",
-    ),
-    row(
-        "lint",
-        false,
-        false,
-        true,
-        "the linter spells out its own needle tokens",
-    ),
-    row("metrics", true, false, false, "aggregation feeds RunResult"),
-    row(
-        "mobility",
-        true,
-        false,
-        false,
-        "trajectories feed RunResult",
-    ),
-    row(
-        "net",
-        true,
-        true,
-        false,
-        "delivery engine; typed RunError owner",
-    ),
-    row(
-        "radio",
-        true,
-        false,
-        false,
-        "propagation models feed RunResult",
-    ),
-    row(
-        "routing",
-        false,
-        false,
-        false,
-        "experiment layer over scenario results",
-    ),
-    row(
-        "scenario",
-        true,
-        true,
-        false,
-        "run orchestration; typed RunError owner",
-    ),
-    row(
-        "sim",
-        true,
-        false,
-        false,
-        "event loop and seeded RNG feed RunResult",
-    ),
-    row(
-        "sweepd",
-        false,
-        true,
-        false,
-        "sweep service: operator infra, long-lived",
-    ),
-    row(
-        "trace",
-        false,
-        true,
-        false,
-        "artifact funnel; typed error owner",
-    ),
-    row(
-        "viz",
-        false,
-        false,
-        false,
-        "post-hoc rendering of result artifacts",
-    ),
-];
-
-/// Looks up the policy row for a crate directory name.
-#[must_use]
-pub fn crate_policy(name: &str) -> Option<&'static CratePolicy> {
-    CRATE_POLICY.iter().find(|p| p.name == name)
-}
-
-/// Files whose own functions `transitive-entropy` does not report:
-/// the blessed batch executor sizes its *job-level* worker pool from
-/// the host, which can never affect per-run bytes because each job is
-/// an independent `(config, seed)` run. Entropy still propagates
-/// *through* it, so a caller that reaches a clock via this file is
-/// reported.
-pub(crate) const ENTROPY_EXEMPT_FILES: &[&str] = &["crates/scenario/src/sweep.rs"];
-
-/// The one blessed wall-clock module, an absorbing boundary for
-/// `transitive-entropy`: its API contract (`#[serde(skip)]`-isolated
-/// timings) is the sanctioned route for profiling, so reaching a clock
-/// *through it* is not laundering. Reaching a clock through any merely
-/// *exempt* file (bench, cli, sweepd, sweep.rs) still is.
-pub(crate) const ENTROPY_BOUNDARY_FILES: &[&str] = &["crates/trace/src/profile.rs"];
-
 /// Extracts the crate directory name from a workspace-relative path
 /// (`crates/<name>/src/...`), if the path is a crate source file.
 #[must_use]
@@ -423,29 +210,28 @@ pub(crate) fn crate_of_path(rel: &str) -> Option<&str> {
     tail.starts_with("src/").then_some(name)
 }
 
+/// `true` for paths under the linter's own crate. The linter does not
+/// scan itself: its source necessarily spells out directive syntax and
+/// needle tokens in prose, and it is on no hot path. Its correctness
+/// is carried by its own unit and fixture tests instead.
+#[must_use]
+pub(crate) fn is_linter_path(rel: &str) -> bool {
+    rel.starts_with("crates/lint/")
+}
+
 /// Returns the rules that apply to a workspace-relative source path:
 /// `hot-path-alloc` and `lint-directive` for every scanned file, or an
 /// empty vector for paths the scanner skips entirely (test trees,
-/// benches, fixtures, and the crates the policy skips).
+/// benches, fixtures, and the linter itself).
 #[must_use]
 pub fn rules_for_path(rel: &str) -> Vec<RuleId> {
     let rel = rel.replace('\\', "/");
-    // Test trees, benches, and fixtures are never scanned. The linter
-    // does not scan itself either (`skip` row in [`CRATE_POLICY`]):
-    // its source necessarily spells out directive syntax and rule
-    // tokens in prose, and it is neither result-affecting nor on any
-    // hot path. Its correctness is carried by its own unit and
-    // fixture tests instead.
     let skip = rel.starts_with("tests/")
         || rel.contains("/tests/")
         || rel.contains("/benches/")
         || rel.contains("/fixtures/")
         || rel.starts_with("target/")
-        || rel
-            .strip_prefix("crates/")
-            .and_then(|r| r.split('/').next())
-            .and_then(crate_policy)
-            .is_some_and(|p| p.skip);
+        || is_linter_path(&rel);
     if skip {
         Vec::new()
     } else {
@@ -602,22 +388,30 @@ fn directive_error(file: &str, idx: usize, msg: &str) -> Finding {
 
 /// Marks the lines belonging to `#[cfg(test)]` modules, by brace
 /// counting over the code shadow. Heuristic but robust for
-/// rustfmt-formatted code: the attribute precedes a `mod … {` line; the
-/// region ends when the brace depth returns to the module's level.
+/// rustfmt-formatted code: the attribute precedes a `mod … {` line,
+/// possibly after further attributes (rustfmt spreads a long one such
+/// as `#[expect(\n    lint,\n    reason = "…"\n)]` over several lines);
+/// the region ends when the brace depth returns to the module's level.
 pub(crate) fn mark_test_lines(lines: &[Line]) -> Vec<bool> {
     let mut is_test = vec![false; lines.len()];
     let mut depth: i32 = 0;
     let mut pending_attr = false;
+    // Open `[` of the attribute being read while `pending_attr`.
+    let mut attr_depth: i32 = 0;
     // Brace depth at which the test module was opened.
     let mut test_until: Option<i32> = None;
     for (idx, line) in lines.iter().enumerate() {
         let code = line.code.as_str();
         if test_until.is_none() && pending_attr {
             let trimmed = code.trim_start();
-            if trimmed.contains("mod ") || trimmed.starts_with("mod") {
+            let in_attr = attr_depth > 0 || trimmed.starts_with("#[");
+            if in_attr {
+                attr_depth += code.matches('[').count() as i32 - code.matches(']').count() as i32;
+            }
+            if attr_depth == 0 && (trimmed.contains("mod ") || trimmed.starts_with("mod")) {
                 test_until = Some(depth);
                 pending_attr = false;
-            } else if !trimmed.is_empty() && !trimmed.starts_with("#[") {
+            } else if !in_attr && !trimmed.is_empty() {
                 // The attribute belonged to something other than a
                 // module (a cfg-gated fn or use); elections stay live.
                 pending_attr = false;
@@ -625,6 +419,7 @@ pub(crate) fn mark_test_lines(lines: &[Line]) -> Vec<bool> {
         }
         if test_until.is_none() && code.contains("cfg(test") {
             pending_attr = true;
+            attr_depth = 0;
             // `#[cfg(test)] mod tests {` on one line.
             if code.contains("mod ") {
                 test_until = Some(depth);
@@ -691,8 +486,8 @@ pub(crate) fn scan_needles(code: &str, set: &[Needle], mut hit: impl FnMut(&Need
 /// Allocations inside test modules (`#[cfg(test)]`) are not reported,
 /// but region-syntax and directive errors are; suppression via
 /// `lint:allow(rule): reason` on the finding's line or the line above
-/// marks the finding `suppressed` without deleting it (so `--json`
-/// consumers can audit the exception inventory).
+/// marks the finding `suppressed` without deleting it (so the report
+/// lists the exception inventory).
 #[must_use]
 pub fn scan_source(file: &str, source: &str, rules: &[RuleId]) -> Vec<Finding> {
     let lines = split_lines(source);
@@ -774,6 +569,25 @@ mod tests {
 }
 ";
         assert!(scan_source("x.rs", src, &all_file_rules()).is_empty());
+
+        // rustfmt's shape for a long attribute between `#[cfg(test)]`
+        // and the module: the module is still test code.
+        let spread = "\
+fn lib_code() {}
+#[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = \"plants a corrupt file on purpose\"
+)]
+mod tests {
+    // lint:hot-path
+    fn t() {
+        let v: Vec<u32> = Vec::new();
+    }
+    // lint:end-hot-path
+}
+";
+        assert!(scan_source("x.rs", spread, &all_file_rules()).is_empty());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Per-rule fixture coverage for the per-file rules: each has a
 //! violating fixture that must produce unsuppressed findings (so the
 //! binary would exit nonzero on it) and a clean twin that must produce
-//! none. The flow rules have theirs in `flow_fixtures_test.rs`.
+//! none. The flow rule has its own in `flow_fixtures_test.rs`.
 
-use mobic_lint::{deps, rules_for_path, scan_source, Finding, RuleId};
+use mobic_lint::{rules_for_path, scan_source, Finding, RuleId};
 
 /// Scans a fixture as if it lived at `as_path`, so the path-scoped
 /// rule set matches the rule under test.
@@ -113,18 +113,6 @@ fn hot_path_region_syntax_fixtures() {
     assert!(unclosed
         .iter()
         .any(|f| f.rule == RuleId::HotPathAlloc && f.message.contains("never closed")));
-}
-
-#[test]
-fn dep_policy_lockfile_fixtures() {
-    let dup = deps::parse_lockfile(include_str!("fixtures/Cargo_dup.lock"));
-    assert_eq!(dup.len(), 4);
-    let findings = deps::duplicate_version_findings("Cargo.lock", &dup);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert!(findings[0].message.contains("rand"));
-
-    let clean = deps::parse_lockfile(include_str!("fixtures/Cargo_clean.lock"));
-    assert!(deps::duplicate_version_findings("Cargo.lock", &clean).is_empty());
 }
 
 #[test]

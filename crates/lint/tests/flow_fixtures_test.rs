@@ -1,13 +1,12 @@
-//! Per-rule fixture coverage for the phase-2 flow rules: every flow
-//! rule has a violating fixture that produces unsuppressed findings
-//! (the binary would exit nonzero on it) and a clean twin that
-//! produces none.
+//! Fixture coverage for the phase-2 flow rule, `hot-path-call-alloc`:
+//! a violating fixture that produces unsuppressed findings (the binary
+//! would exit nonzero on it) and a clean twin that produces none.
 
 use mobic_lint::rules::{Finding, RuleId};
 use mobic_lint::{flow, graph};
 
 /// Builds a call graph from fixture sources mounted at workspace-like
-/// paths and runs the flow rules over it.
+/// paths and runs the flow rule over it.
 fn check_flow(files: &[(&str, &str)]) -> Vec<Finding> {
     let owned: Vec<(String, String)> = files
         .iter()
@@ -27,76 +26,6 @@ fn of_rule(findings: &[Finding], rule: RuleId) -> Vec<&Finding> {
         .iter()
         .filter(|f| f.rule == rule && !f.suppressed)
         .collect()
-}
-
-#[test]
-fn transitive_entropy_fixture_pair() {
-    let bad = check_flow(&[
-        (
-            "crates/sim/src/fixture.rs",
-            include_str!("fixtures/flow/transitive_entropy_bad.rs"),
-        ),
-        (
-            "crates/sweepd/src/fixture_helper.rs",
-            include_str!("fixtures/flow/transitive_entropy_helper.rs"),
-        ),
-    ]);
-    let hits = of_rule(&bad, RuleId::TransitiveEntropy);
-    assert_eq!(hits.len(), 1, "{bad:?}");
-    let f = hits[0];
-    assert_eq!(f.file, "crates/sim/src/fixture.rs");
-    assert!(f.message.contains("`advance`"), "{}", f.message);
-    assert!(
-        !f.witness.is_empty() && f.witness.iter().any(|h| h.what.contains("jitter_seed")),
-        "witness must show the laundering hop: {:?}",
-        f.witness
-    );
-    // The exempt helper crate itself is never reported.
-    assert!(
-        bad.iter().all(|f| !f.file.starts_with("crates/sweepd/")),
-        "{bad:?}"
-    );
-
-    let clean = check_flow(&[
-        (
-            "crates/sim/src/fixture.rs",
-            include_str!("fixtures/flow/transitive_entropy_clean.rs"),
-        ),
-        (
-            "crates/trace/src/profile.rs",
-            include_str!("fixtures/flow/profile_boundary.rs"),
-        ),
-    ]);
-    assert!(
-        of_rule(&clean, RuleId::TransitiveEntropy).is_empty(),
-        "the profile boundary absorbs the clock read: {clean:?}"
-    );
-}
-
-#[test]
-fn panic_reachability_fixture_pair() {
-    let bad = check_flow(&[(
-        "crates/scenario/src/fixture.rs",
-        include_str!("fixtures/flow/panic_reachability_bad.rs"),
-    )]);
-    let hits = of_rule(&bad, RuleId::PanicReachability);
-    assert_eq!(hits.len(), 1, "only the public entry is reported: {bad:?}");
-    let f = hits[0];
-    assert!(f.message.contains("`run_entry`"), "{}", f.message);
-    // entry → resolve → finish → sink: one line per hop.
-    assert_eq!(f.witness.len(), 3, "{:?}", f.witness);
-    assert!(f.witness[0].what.contains("resolve"));
-    assert!(f.witness[1].what.contains("finish"));
-    assert!(f.witness[2].what.contains("unwrap"));
-
-    let clean = check_flow(&[(
-        "crates/scenario/src/fixture.rs",
-        include_str!("fixtures/flow/panic_reachability_clean.rs"),
-    )]);
-    assert!(
-        clean.is_empty(),
-        "a documented `.expect` is not a panic sink: {clean:?}"
-    );
 }
 
 #[test]

@@ -1,8 +1,10 @@
 //! The self-test behind the acceptance criterion: the live workspace
 //! must lint clean, with zero `lint:allow` exceptions outside
 //! `crates/bench`/`crates/cli` and clippy ban exemptions only at the
-//! blessed sites, the linter itself must stay dependency-free, and the
-//! workspace must resolve with no registry.
+//! blessed sites; the crates that decide result bytes must depend only
+//! on each other; the linter itself must stay dependency-free; and the
+//! workspace must resolve with no registry, one version per package
+//! and an allowed license on every member.
 
 use std::path::PathBuf;
 
@@ -26,6 +28,31 @@ fn workspace_root() -> PathBuf {
     }
 }
 
+/// The non-empty lines of `manifest`'s `[section]` table, comments
+/// stripped.
+fn table<'m>(manifest: &'m str, section: &str) -> Vec<&'m str> {
+    let header = format!("[{section}]");
+    let mut inside = false;
+    let mut lines = Vec::new();
+    for raw in manifest.lines() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.starts_with('[') {
+            inside = line == header;
+        } else if inside && !line.is_empty() {
+            lines.push(line);
+        }
+    }
+    lines
+}
+
+/// The quoted value of `key = "…"` in `manifest`'s `[section]` table.
+fn string_value(manifest: &str, section: &str, key: &str) -> Option<String> {
+    table(manifest, section).into_iter().find_map(|line| {
+        let value = line.strip_prefix(key)?.trim_start().strip_prefix('=')?;
+        Some(value.trim().trim_matches('"').to_string())
+    })
+}
+
 #[test]
 fn live_workspace_is_clean() {
     let root = workspace_root();
@@ -33,7 +60,7 @@ fn live_workspace_is_clean() {
     let live: Vec<_> = analysis.findings.iter().filter(|f| !f.suppressed).collect();
     assert!(
         live.is_empty(),
-        "the workspace must lint clean (flow rules included); unsuppressed findings:\n{live:#?}"
+        "the workspace must lint clean (flow rule included); unsuppressed findings:\n{live:#?}"
     );
     assert!(
         analysis.files_scanned > 50,
@@ -43,41 +70,6 @@ fn live_workspace_is_clean() {
         analysis.functions > 100,
         "the call graph actually extracted the workspace ({} functions)",
         analysis.functions
-    );
-}
-
-#[test]
-fn every_crate_has_a_policy_row() {
-    // `CRATE_POLICY` is the single source of truth for rule scoping; a
-    // crate without a row would inherit a silent default. Landing one
-    // must be a deliberate policy decision.
-    let root = workspace_root();
-    let mut missing = Vec::new();
-    let mut dirs = Vec::new();
-    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ listing") {
-        let entry = entry.expect("crates/ entry");
-        if !entry.path().is_dir() {
-            continue;
-        }
-        let name = entry.file_name().to_string_lossy().into_owned();
-        dirs.push(name.clone());
-        if mobic_lint::rules::crate_policy(&name).is_none() {
-            missing.push(name);
-        }
-    }
-    assert!(
-        missing.is_empty(),
-        "every crate under crates/ needs an explicit CRATE_POLICY row; missing: {missing:?}"
-    );
-    // And the reverse: no stale rows for crates that no longer exist.
-    let stale: Vec<_> = mobic_lint::rules::CRATE_POLICY
-        .iter()
-        .map(|p| p.name)
-        .filter(|n| !dirs.iter().any(|d| d == n))
-        .collect();
-    assert!(
-        stale.is_empty(),
-        "CRATE_POLICY rows without a crate: {stale:?}"
     );
 }
 
@@ -143,7 +135,7 @@ fn hot_path_regions_are_annotated_where_promised() {
 
 /// The clippy lints whose exemptions are reviewed sites: the two
 /// `disallowed-*` bans of `clippy.toml` and the five panic lints the
-/// typed-error crates deny.
+/// crates deny.
 const BAN_LINTS: [&str; 7] = [
     "clippy::disallowed_types",
     "clippy::disallowed_methods",
@@ -205,20 +197,67 @@ fn clippy_exemptions_stay_at_the_blessed_sites() {
     found.sort();
     assert_eq!(found, blessed, "clippy ban exemptions moved");
 
-    // The panic lints are denied where the typed errors live; losing a
-    // `deny` silently un-polices the crate.
-    for lib in [
-        "crates/net/src/lib.rs",
-        "crates/scenario/src/lib.rs",
-        "crates/trace/src/lib.rs",
-    ] {
-        let text = std::fs::read_to_string(root.join(lib)).expect(lib);
+    // Every crate a panic entry point (`run_scenario`, the sweep
+    // service) can reach denies the panic lints; losing a `deny`
+    // silently un-polices the crate. The typed-error crates deny
+    // `.expect` too; elsewhere a documented `.expect` states an
+    // invariant.
+    let typed_error = ["net", "scenario", "trace"];
+    for name in RUN_CRATES.into_iter().chain(["sweepd", "trace"]) {
+        let lib = format!("crates/{name}/src/lib.rs");
+        let text = std::fs::read_to_string(root.join(&lib)).expect("lib.rs reads");
         let deny = text.split("#![deny(").nth(1).unwrap_or("");
         let deny = &deny[..deny.find(')').unwrap_or(0)];
         for lint in &BAN_LINTS[2..] {
+            if *lint == "clippy::expect_used" && !typed_error.contains(&name) {
+                continue;
+            }
             assert!(deny.contains(lint), "{lib} must deny `{lint}`");
         }
     }
+}
+
+/// The crates whose code decides `RunResult` bytes.
+const RUN_CRATES: [&str; 8] = [
+    "core", "geom", "metrics", "mobility", "net", "radio", "scenario", "sim",
+];
+
+#[test]
+fn run_crates_depend_only_on_run_crates() {
+    // The operator crates (bench, cli, sweepd) may read clocks, the
+    // environment and host parallelism. A run crate cannot call their
+    // code without naming them as a dependency, so with this test,
+    // clippy.toml's bans and the reviewed `#[expect]` sites, no clock
+    // or ambient RNG reaches a result through any call chain
+    // (DESIGN.md §8). `mobic-trace` holds the sanctioned profiling
+    // clock, whose readings are never serialized into results.
+    let root = workspace_root();
+    let mut stray = Vec::new();
+    for name in RUN_CRATES {
+        let rel = format!("crates/{name}/Cargo.toml");
+        let manifest = std::fs::read_to_string(root.join(&rel)).expect("manifest reads");
+        let listed = table(&manifest, "dependencies")
+            .into_iter()
+            .map(|line| line.split(['=', '.']).next().unwrap_or("").trim());
+        let tables = manifest.lines().filter_map(|line| {
+            line.trim()
+                .strip_prefix("[dependencies.")?
+                .strip_suffix(']')
+        });
+        for dep in listed.chain(tables).filter(|d| d.starts_with("mobic-")) {
+            let allowed = dep == "mobic-trace"
+                || dep
+                    .strip_prefix("mobic-")
+                    .is_some_and(|d| RUN_CRATES.contains(&d));
+            if !allowed {
+                stray.push(format!("{rel}: {dep}"));
+            }
+        }
+    }
+    assert!(
+        stray.is_empty(),
+        "a run crate depends on a crate outside {RUN_CRATES:?} and mobic-trace: {stray:?}"
+    );
 }
 
 #[test]
@@ -229,19 +268,11 @@ fn sweepd_has_zero_external_dependencies() {
     let root = workspace_root();
     let manifest =
         std::fs::read_to_string(root.join("crates/sweepd/Cargo.toml")).expect("sweepd manifest");
-    let mut in_deps = false;
-    for raw in manifest.lines() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.starts_with('[') {
-            in_deps = line == "[dependencies]";
-            continue;
-        }
-        if in_deps && !line.is_empty() {
-            assert!(
-                line.starts_with("mobic-"),
-                "crates/sweepd may only depend on workspace crates, found: {line}"
-            );
-        }
+    for line in table(&manifest, "dependencies") {
+        assert!(
+            line.starts_with("mobic-"),
+            "crates/sweepd may only depend on workspace crates, found: {line}"
+        );
     }
 }
 
@@ -252,20 +283,11 @@ fn linter_has_zero_external_dependencies() {
     let root = workspace_root();
     let manifest =
         std::fs::read_to_string(root.join("crates/lint/Cargo.toml")).expect("lint manifest");
-    let mut in_deps = false;
-    for raw in manifest.lines() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.starts_with('[') {
-            in_deps = line == "[dependencies]";
-            continue;
-        }
-        if in_deps {
-            assert!(
-                line.is_empty(),
-                "crates/lint [dependencies] must stay empty, found: {line}"
-            );
-        }
-    }
+    let deps = table(&manifest, "dependencies");
+    assert!(
+        deps.is_empty(),
+        "crates/lint [dependencies] must stay empty, found: {deps:?}"
+    );
 }
 
 #[test]
@@ -273,21 +295,84 @@ fn workspace_resolves_without_a_registry() {
     // The root `[patch.crates-io]` points every external crate at an
     // in-tree stand-in, and the lockfile is checked in: without it
     // cargo asks the registry index even for path-only dependencies. A
-    // crate resolved from a registry would carry a `source` line.
+    // crate resolved from a registry would carry a `source` line. A
+    // package resolved at two versions (two majors: cargo unifies
+    // semver-compatible requirements) risks two copies of an RNG or a
+    // serializer with different behaviour.
     let root = workspace_root();
     let lock = std::fs::read_to_string(root.join("Cargo.lock")).expect("Cargo.lock is checked in");
     let mut packages = 0;
-    let mut name = "";
+    let mut names = Vec::new();
     for line in lock.lines() {
         if line == "[[package]]" {
             packages += 1;
         } else if let Some(n) = line.strip_prefix("name = ") {
-            name = n;
+            names.push(n.trim_matches('"'));
         }
         assert!(
             !line.starts_with("source = "),
-            "package {name} resolves from outside the repository: {line}"
+            "package {} resolves from outside the repository: {line}",
+            names.last().unwrap_or(&"?")
         );
     }
     assert!(packages > 0, "Cargo.lock lists no packages");
+    names.sort_unstable();
+    let twice: Vec<&str> = names
+        .windows(2)
+        .filter(|pair| pair[0] == pair[1])
+        .map(|pair| pair[0])
+        .collect();
+    assert!(
+        twice.is_empty(),
+        "packages resolved at two versions: {twice:?}"
+    );
+}
+
+/// The licenses a workspace member may declare.
+const ALLOWED_LICENSES: [&str; 3] = ["MIT OR Apache-2.0", "MIT", "Apache-2.0"];
+
+#[test]
+fn every_member_declares_an_allowed_license() {
+    // The root package and every crate, whether it names its license
+    // or inherits `[workspace.package]`'s.
+    let root = workspace_root();
+    let root_manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    let inherited = string_value(&root_manifest, "workspace.package", "license");
+    let mut manifests = vec![("Cargo.toml".to_string(), root_manifest)];
+    let mut crates: Vec<_> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/ listing")
+        .map(|entry| entry.expect("crates/ entry").path().join("Cargo.toml"))
+        .filter(|manifest| manifest.is_file())
+        .collect();
+    crates.sort();
+    for manifest in crates {
+        let rel = manifest
+            .strip_prefix(&root)
+            .unwrap_or(&manifest)
+            .display()
+            .to_string();
+        manifests.push((
+            rel,
+            std::fs::read_to_string(&manifest).expect("manifest reads"),
+        ));
+    }
+    assert!(manifests.len() > 10, "the scan found the crates");
+    let mut bad = Vec::new();
+    for (rel, text) in &manifests {
+        let license = if table(text, "package").contains(&"license.workspace = true") {
+            inherited.clone()
+        } else {
+            string_value(text, "package", "license")
+        };
+        if !license
+            .as_deref()
+            .is_some_and(|l| ALLOWED_LICENSES.contains(&l))
+        {
+            bad.push(format!("{rel}: {license:?}"));
+        }
+    }
+    assert!(
+        bad.is_empty(),
+        "licenses outside {ALLOWED_LICENSES:?}: {bad:?}"
+    );
 }

@@ -2862,6 +2862,7 @@ mod tests {
         };
         let dir = std::env::temp_dir().join("mobic-runner-ckpt-test");
         let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
         let plain = small(AlgorithmKind::Mobic);
         let want = serde_json::to_string(&run_scenario(&plain, 7).unwrap()).unwrap();
         let r = run_scenario_checkpointed(&cfg, 7, Some(&dir), None, &mut NullSink).unwrap();

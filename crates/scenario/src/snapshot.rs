@@ -42,8 +42,8 @@
 //! payload bytes; [`load_snapshot`] verifies schema, length, and hash
 //! before deserializing, so a torn or bit-rotten file yields a typed
 //! [`SnapshotError`] instead of silently corrupt state. Files are
-//! published with [`write_atomic`], so a crash mid-write never leaves
-//! a half-snapshot under the final name.
+//! published with [`write_atomic_in_existing_dir`], so a crash
+//! mid-write never leaves a half-snapshot under the final name.
 
 use std::path::{Path, PathBuf};
 use std::{fmt, fs, io};
@@ -51,7 +51,7 @@ use std::{fmt, fs, io};
 use mobic_net::loss::LossState;
 use mobic_radio::PropagationState;
 use mobic_sim::SimTime;
-use mobic_trace::{fnv1a64, write_atomic, TraceCursor};
+use mobic_trace::{fnv1a64, write_atomic_in_existing_dir, TraceCursor};
 use serde::{Deserialize, Serialize};
 
 use crate::config::CheckpointPolicy;
@@ -309,13 +309,15 @@ fn payload_hash(payload: &[u8]) -> String {
 }
 
 /// Serializes and atomically publishes a snapshot at `path` (header
-/// line + hashed payload; see the module docs for the format).
+/// line + hashed payload; see the module docs for the format). The
+/// directory must exist: a snapshot write never creates one.
 ///
 /// # Errors
 ///
-/// Returns serialization and write errors. A failed write never leaves
-/// a partial file under `path` — [`write_atomic`] publishes via
-/// temp-file + rename.
+/// Returns serialization and write errors, including a missing
+/// directory. A failed write never leaves a partial file under `path`
+/// — [`write_atomic_in_existing_dir`] publishes via temp-file +
+/// rename.
 pub fn save_snapshot(snap: &SimSnapshot, path: impl AsRef<Path>) -> io::Result<()> {
     let payload = serde_json::to_vec(snap)?;
     let header = Header {
@@ -326,7 +328,7 @@ pub fn save_snapshot(snap: &SimSnapshot, path: impl AsRef<Path>) -> io::Result<(
     let mut bytes = serde_json::to_vec(&header)?;
     bytes.push(b'\n');
     bytes.extend_from_slice(&payload);
-    write_atomic(path, &bytes)
+    write_atomic_in_existing_dir(path, &bytes)
 }
 
 /// Reads and verifies a snapshot: header parse, schema check, length
@@ -386,16 +388,19 @@ fn list_snapshots(dir: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(found)
 }
 
-/// Writes a rotated snapshot into `dir` (created if absent) named by
-/// its event count, then prunes the oldest files beyond `keep`
+/// Writes a rotated snapshot into the existing directory `dir`, named
+/// by its event count, then prunes the oldest files beyond `keep`
 /// (clamped to at least 1). Returns the path written.
+///
+/// The directory's owner creates it: a write from a worker that
+/// outlived its cell must fail once the owner has removed the
+/// directory, not bring it back.
 ///
 /// # Errors
 ///
-/// Returns directory-creation and write errors; pruning errors are
+/// Returns write errors, including a missing `dir`; pruning errors are
 /// ignored (stale snapshots are harmless).
 pub fn write_rotated(snap: &SimSnapshot, dir: &Path, keep: u32) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
     let path = dir.join(format!("ckpt-{:020}.ckpt", snap.events_processed()));
     save_snapshot(snap, &path)?;
     if let Ok(mut all) = list_snapshots(dir) {

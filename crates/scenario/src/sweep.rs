@@ -208,6 +208,14 @@ pub fn run_batch_supervised(
     let spawn_job = |i: usize| -> std::thread::JoinHandle<()> {
         let (cfg, seed) = jobs[i]; // `ScenarioConfig` is `Copy`
         let snapshots = checkpoint.map(|(dir, policy)| (dir.join(format!("seed-{seed}")), policy));
+        if let Some((dir, _)) = &snapshots {
+            // The batch owns the snapshot directory: created here,
+            // before the job or its fault hooks start, and removed by
+            // `run_cell` once the cell completes. Snapshot writes never
+            // create it, so a job abandoned past its deadline cannot
+            // bring it back. A failure here only costs snapshots.
+            let _ = std::fs::create_dir_all(dir);
+        }
         let sender = send.clone();
         let panics = supervision.panic_on == Some(i);
         let delay = supervision
@@ -1171,19 +1179,33 @@ mod tests {
         let spec = tiny_spec();
         let cell = &spec.cells()[0];
         let dir = ckpt_dir("deadline");
+        let delay = Duration::from_secs(3);
         let sup = Supervision {
-            soft_deadline: Some(Duration::from_secs(5)),
-            delay_on: Some((1, Duration::from_secs(60))),
+            soft_deadline: Some(Duration::from_secs(1)),
+            delay_on: Some((1, delay)),
             ..Supervision::default()
         };
         let (outcome, stats) = run_cell(cell, &sup, Some((&dir, fast_policy())));
         let err = outcome.expect_err("the stuck seed must time out");
         assert_eq!(err.index, 1);
         assert!(
-            matches!(err.error, RunError::TimedOut { limit_s } if (limit_s - 5.0).abs() < 1e-9),
+            matches!(err.error, RunError::TimedOut { limit_s } if (limit_s - 1.0).abs() < 1e-9),
             "{err}"
         );
         assert_eq!(stats.leaked_workers, 1, "the sleeper is abandoned");
         assert!(dir.exists(), "a failed cell must keep its snapshots");
+
+        // A clean retry completes the cell and removes the directory
+        // while the abandoned sleeper still sleeps. Once the sleeper
+        // has woken and run, its late snapshots must not have brought
+        // the directory back.
+        let (outcome, _) = run_cell(cell, &Supervision::default(), Some((&dir, fast_policy())));
+        outcome.expect("the retry must complete");
+        assert!(!dir.exists(), "completion must remove the snapshots");
+        std::thread::sleep(delay + Duration::from_secs(1));
+        assert!(
+            !dir.exists(),
+            "the abandoned attempt re-created a finished cell's snapshot directory"
+        );
     }
 }

@@ -28,10 +28,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Returns any I/O error from directory creation, the temp-file write,
 /// or the rename. On error the destination is untouched (the stale
 /// temp file, if any, is removed on a best-effort basis).
-#[expect(
-    clippy::disallowed_methods,
-    reason = "`write_atomic` itself: the raw write goes to a temp sibling that is renamed into place"
-)]
 pub fn write_atomic(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> io::Result<()> {
     let path = path.as_ref();
     if let Some(parent) = path.parent() {
@@ -39,6 +35,28 @@ pub fn write_atomic(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> io::R
             std::fs::create_dir_all(parent)?;
         }
     }
+    write_atomic_in_existing_dir(path, contents)
+}
+
+/// [`write_atomic`] into a directory that must already exist: a
+/// missing directory fails the write with
+/// [`io::ErrorKind::NotFound`] instead of being created. For
+/// directories whose owner may remove them while a late writer is
+/// still running.
+///
+/// # Errors
+///
+/// Returns any I/O error from the temp-file write or the rename, with
+/// the same cleanup as [`write_atomic`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "`write_atomic` itself: the raw write goes to a temp sibling that is renamed into place"
+)]
+pub fn write_atomic_in_existing_dir(
+    path: impl AsRef<Path>,
+    contents: impl AsRef<[u8]>,
+) -> io::Result<()> {
+    let path = path.as_ref();
     let tmp = temp_sibling(path);
     std::fs::write(&tmp, contents.as_ref())?;
     match std::fs::rename(&tmp, path) {
@@ -87,6 +105,12 @@ mod tests {
     fn creates_parent_directories() {
         let dir = scratch_dir("parents");
         let path = dir.join("a/b/c.json");
+        let err = write_atomic_in_existing_dir(&path, b"x").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+        assert!(
+            !dir.join("a").exists(),
+            "the missing directory stays missing"
+        );
         write_atomic(&path, b"x").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"x");
         std::fs::remove_dir_all(&dir).ok();

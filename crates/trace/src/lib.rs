@@ -73,7 +73,7 @@ mod manifest;
 mod profile;
 mod sink;
 
-pub use artifact::write_atomic;
+pub use artifact::{write_atomic, write_atomic_in_existing_dir};
 pub use event::{TraceEvent, ViolationKind};
 pub use manifest::{
     config_hash, fnv1a64, manifest_path_for, write_manifests, ManifestCounters, RunManifest,

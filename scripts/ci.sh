@@ -15,13 +15,12 @@ echo "== mobic-lint (static invariants, fail-fast) =="
 # The gate diffs against the checked-in baseline, so it fails only on
 # NEW findings; the baseline is kept empty in normal operation.
 MOBIC_LINT=(cargo run --release -q -p mobic-lint --)
-"${MOBIC_LINT[@]}" --json >/dev/null
 "${MOBIC_LINT[@]}" --baseline lint-baseline.json
 
 echo "== mobic-lint --graph-json smoke (dump must parse and cover the tree) =="
 # The call-graph dump is itself a contract: valid JSON, and a function
 # count that proves extraction actually walked the workspace (an empty
-# or tiny graph means the flow rules silently policed nothing).
+# or tiny graph means the flow rule silently policed nothing).
 "${MOBIC_LINT[@]}" --graph-json | python3 -c '
 import json, sys
 graph = json.load(sys.stdin)
@@ -38,12 +37,15 @@ cargo fmt --all --check
 echo "== clippy =="
 # The determinism and artifact bans live in `clippy.toml` (the root
 # file, plus a shorter one per operator crate) as `disallowed-types`
-# and `disallowed-methods`; the typed-error crates (net, scenario,
-# trace) deny the panic lints in their `lib.rs`. `unwrap_used` and
-# `unreachable_pub` in `[workspace.lints]` are an advisory tier that
-# warns in dev builds, so they are capped back to allow here to keep
-# `-D warnings` from escalating it; a crate-level `deny` outranks the
-# cap.
+# and `disallowed-methods`. Every crate a panic entry point can reach
+# denies the panic lints in its `lib.rs`: core, geom, metrics,
+# mobility, net, radio, scenario, sim, sweepd and trace deny
+# `unwrap_used`, `panic`, `todo` and `unimplemented`, and the
+# typed-error crates (net, scenario, trace) `expect_used` too.
+# `unwrap_used` and `unreachable_pub` in `[workspace.lints]` are an
+# advisory tier that warns in dev builds, so they are capped back to
+# allow here to keep `-D warnings` from escalating it; a crate-level
+# `deny` outranks the cap.
 cargo clippy --workspace --all-targets -- -D warnings \
     -A unreachable-pub -A clippy::unwrap-used
 # benchmark/ is a workspace of its own, outside the pass above. Clippy

@@ -197,6 +197,21 @@ fn golden_sweep(json: &str, algorithm: &str) -> Vec<(f64, f64)> {
         .collect()
 }
 
+/// `(x, LCC CS, MOBIC CS)` rows of a `results/*.json` sweep, paired
+/// by x.
+fn golden_pairs(json: &str) -> Vec<(f64, f64, f64)> {
+    let lcc = golden_sweep(json, "lcc");
+    let mobic = golden_sweep(json, "mobic");
+    assert_eq!(lcc.len(), mobic.len(), "the golden pairs the algorithms");
+    lcc.iter()
+        .zip(&mobic)
+        .map(|(&(x, l), &(mx, m))| {
+            assert_eq!(x, mx, "the golden pairs the algorithms by x");
+            (x, l, m)
+        })
+        .collect()
+}
+
 /// The rows of a `results/*.csv` golden, header dropped.
 fn golden_csv(csv: &str) -> Vec<Vec<&str>> {
     csv.lines()
@@ -218,18 +233,9 @@ fn peak(points: &[(f64, f64)]) -> f64 {
 
 #[test]
 fn golden_fig3_peaks_at_50m_and_crosses_over_near_100m() {
-    let json = include_str!("../results/fig3.json");
-    let lcc = golden_sweep(json, "lcc");
-    let mobic = golden_sweep(json, "mobic");
     // (Tx, LCC CS, MOBIC CS), printed by every failure below.
-    let table: Vec<(f64, f64, f64)> = lcc
-        .iter()
-        .zip(&mobic)
-        .map(|(&(x, l), &(mx, m))| {
-            assert_eq!(x, mx, "fig3.json pairs the algorithms by Tx");
-            (x, l, m)
-        })
-        .collect();
+    let table = golden_pairs(include_str!("../results/fig3.json"));
+    let lcc: Vec<(f64, f64)> = table.iter().map(|&(x, l, _)| (x, l)).collect();
     assert_eq!(table.len(), 11, "{table:?}");
     assert_eq!(
         peak(&lcc),
@@ -251,6 +257,45 @@ fn golden_fig3_peaks_at_50m_and_crosses_over_near_100m() {
                  75 m; golden (Tx, LCC, MOBIC): {table:?}"
             );
         }
+    }
+}
+
+#[test]
+fn golden_fig5_mobic_beats_lcc_from_150_to_250m() {
+    let table = golden_pairs(include_str!("../results/fig5.json"));
+    let large: Vec<(f64, f64, f64)> = table
+        .iter()
+        .copied()
+        .filter(|&(x, _, _)| x >= 150.0)
+        .collect();
+    assert_eq!(
+        large.len(),
+        5,
+        "Fig 5 sweeps Tx 150..=250 m in 25 m steps; golden (Tx, LCC, MOBIC): {table:?}"
+    );
+    for (x, l, m) in large {
+        assert!(
+            m < l,
+            "Fig 5: on the 1000 m field MOBIC's CS is below LCC's at every Tx from \
+             150 to 250 m, not at {x} m; golden (Tx, LCC, MOBIC): {table:?}"
+        );
+    }
+}
+
+#[test]
+fn golden_fig6a_mobic_beats_lcc_at_every_max_speed() {
+    let table = golden_pairs(include_str!("../results/fig6a.json"));
+    assert_eq!(
+        table.len(),
+        3,
+        "Fig 6(a) has three max speeds; golden (max speed, LCC, MOBIC): {table:?}"
+    );
+    for &(v, l, m) in &table {
+        assert!(
+            m < l,
+            "Fig 6(a): always mobile at Tx = 250 m, MOBIC's CS is below LCC's at every \
+             max speed, not at {v} m/s; golden (max speed, LCC, MOBIC): {table:?}"
+        );
     }
 }
 

@@ -260,7 +260,9 @@ fn checkpointing_server_resumes_from_prior_snapshots() {
     let RunOutcome::Suspended(snapshot) = outcome else {
         panic!("the run must suspend at event 40");
     };
-    write_rotated(&snapshot, &cell_dir.join("seed-0"), 2).expect("snapshot lands");
+    let seed0 = cell_dir.join("seed-0");
+    std::fs::create_dir_all(&seed0).expect("seed-0 dir");
+    write_rotated(&snapshot, &seed0, 2).expect("snapshot lands");
     let seed1 = cell_dir.join("seed-1");
     std::fs::create_dir_all(&seed1).expect("seed-1 dir");
     std::fs::write(seed1.join("ckpt-00000000000000000050.ckpt"), b"garbage").expect("corrupt");
