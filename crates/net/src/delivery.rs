@@ -102,7 +102,8 @@ impl<P: Propagation, L: LossModel> DeliveryEngine<P, L> {
     /// set, repeated calls allocate nothing.
     ///
     /// Per candidate: skip `tx` (a node never hears itself), ask the
-    /// radio whether the candidate hears anything at its distance, and
+    /// radio whether the candidate hears anything at its squared
+    /// distance ([`Radio::receive_squared`]), and
     /// only then ask the loss model whether the packet survives —
     /// exactly one loss-model query per in-range candidate, in
     /// candidate order. Stateful loss models and stochastic channels
@@ -133,7 +134,7 @@ impl<P: Propagation, L: LossModel> DeliveryEngine<P, L> {
             if rx == tx {
                 continue;
             }
-            if let Some(power) = self.radio.receive(tx_pos.distance(rx_pos)) {
+            if let Some(power) = self.radio.receive_squared(tx_pos.distance_squared(rx_pos)) {
                 if self.loss.delivered(tx, rx, at) {
                     out.push(Delivery {
                         receiver: rx,

@@ -52,6 +52,7 @@
 )]
 #![warn(missing_docs)]
 
+mod cutoff;
 mod link;
 mod models;
 mod units;

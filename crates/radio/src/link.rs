@@ -63,15 +63,21 @@ impl LinkBudget {
 #[derive(Debug, Clone)]
 pub struct Radio<P> {
     budget: LinkBudget,
+    /// `budget.max_path_loss()`, computed once for the per-candidate
+    /// [`receive_squared`](Self::receive_squared).
+    max_loss: Db,
     propagation: P,
 }
 
 impl<P: Propagation> Radio<P> {
     /// Creates a radio from an explicit budget and propagation model.
     #[must_use]
-    pub fn new(propagation: P, budget: LinkBudget) -> Self {
+    pub fn new(mut propagation: P, budget: LinkBudget) -> Self {
+        let max_loss = budget.max_path_loss();
+        propagation.prepare_cutoff(max_loss);
         Radio {
             budget,
+            max_loss,
             propagation,
         }
     }
@@ -98,10 +104,7 @@ impl<P: Propagation> Radio<P> {
         let mut budget = LinkBudget::ns2_default();
         let needed = propagation.mean_path_loss(range_m);
         budget.tx_power = budget.rx_threshold + needed - budget.tx_gain - budget.rx_gain;
-        Radio {
-            budget,
-            propagation,
-        }
+        Self::new(propagation, budget)
     }
 
     /// The link budget.
@@ -137,6 +140,19 @@ impl<P: Propagation> Radio<P> {
     #[must_use]
     pub fn receive(&self, distance_m: f64) -> Option<Dbm> {
         let p = self.rx_power(distance_m);
+        (p >= self.budget.rx_threshold).then_some(p)
+    }
+
+    /// [`receive`](Self::receive) at the squared distance
+    /// `distance_sq`, bit for bit and with the same draws, through
+    /// [`Propagation::path_loss_within`]: a shadowed link that cannot
+    /// close is refused without computing its loss.
+    #[must_use]
+    pub fn receive_squared(&self, distance_sq: f64) -> Option<Dbm> {
+        let loss = self
+            .propagation
+            .path_loss_within(distance_sq, self.max_loss)?;
+        let p = self.budget.tx_power + self.budget.tx_gain + self.budget.rx_gain - loss;
         (p >= self.budget.rx_threshold).then_some(p)
     }
 

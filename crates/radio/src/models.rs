@@ -6,6 +6,7 @@ use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::cutoff::ShadowCutoff;
 use crate::{Db, SPEED_OF_LIGHT};
 
 /// Minimum distance (m) used when evaluating path loss, guarding the
@@ -56,6 +57,25 @@ pub trait Propagation {
     /// shadowing). Defaults to the mean.
     fn path_loss(&self, distance_m: f64) -> Db {
         self.mean_path_loss(distance_m)
+    }
+
+    /// Per-packet path loss at the squared distance `distance_sq`, or
+    /// `None` when that packet certainly loses more than `max_loss`
+    /// (beyond any rounding of the link budget), so no receiver can
+    /// hear it. Takes exactly the draws `path_loss(distance_sq.sqrt())`
+    /// takes, and a returned loss is that call's, bit for bit. Defaults
+    /// to that call.
+    fn path_loss_within(&self, distance_sq: f64, max_loss: Db) -> Option<Db> {
+        let _ = max_loss;
+        Some(self.path_loss(distance_sq.sqrt()))
+    }
+
+    /// Builds whatever [`path_loss_within`](Self::path_loss_within)
+    /// needs to refuse packets against `max_loss` without computing
+    /// them. [`Radio`](crate::Radio)'s constructors call it once with
+    /// the budget's maximum path loss. Defaults to nothing.
+    fn prepare_cutoff(&mut self, max_loss: Db) {
+        let _ = max_loss;
     }
 
     /// Whether `path_loss` is a pure function of distance (no random
@@ -335,6 +355,9 @@ pub struct Shadowed<P> {
     inner: P,
     sigma_db: f64,
     rng: RefCell<ChaCha12Rng>,
+    /// The reject bound of `path_loss_within`, built by
+    /// `prepare_cutoff` over a deterministic inner model.
+    cutoff: Option<ShadowCutoff>,
 }
 
 impl<P: Propagation> Shadowed<P> {
@@ -353,6 +376,7 @@ impl<P: Propagation> Shadowed<P> {
             inner,
             sigma_db,
             rng: RefCell::new(rng),
+            cutoff: None,
         }
     }
 
@@ -368,11 +392,9 @@ impl<P: Propagation> Shadowed<P> {
         self.sigma_db
     }
 
-    fn gauss(&self) -> f64 {
-        let mut rng = self.rng.borrow_mut();
-        let u1: f64 = 1.0 - rng.gen::<f64>();
-        let u2: f64 = rng.gen();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+    /// The loss at `distance_m` for the draw `(u1, u2)`.
+    fn shadowed_loss(&self, distance_m: f64, u1: f64, u2: f64) -> Db {
+        self.inner.path_loss(distance_m) + Db::new(self.sigma_db * box_muller(u1, u2))
     }
 }
 
@@ -382,7 +404,33 @@ impl<P: Propagation> Propagation for Shadowed<P> {
     }
 
     fn path_loss(&self, distance_m: f64) -> Db {
-        self.inner.path_loss(distance_m) + Db::new(self.sigma_db * self.gauss())
+        let (u1, u2) = uniforms(&mut self.rng.borrow_mut());
+        self.shadowed_loss(distance_m, u1, u2)
+    }
+
+    /// Draws both uniforms as [`path_loss`](Self::path_loss) does, then
+    /// refuses the packet without any transcendental call, or even the
+    /// distance's square root, when the table built by
+    /// [`prepare_cutoff`](Self::prepare_cutoff) proves it lost (see
+    /// DESIGN.md §6, "Shadowed links that cannot close").
+    fn path_loss_within(&self, distance_sq: f64, max_loss: Db) -> Option<Db> {
+        let (u1, u2) = uniforms(&mut self.rng.borrow_mut());
+        if let Some(cutoff) = &self.cutoff {
+            if cutoff.max_loss() == max_loss && cutoff.rejects(distance_sq, u1, u2) {
+                return None;
+            }
+        }
+        Some(self.shadowed_loss(distance_sq.sqrt(), u1, u2))
+    }
+
+    /// Builds the reject table for `max_loss`. A stochastic inner model
+    /// keeps the exact path.
+    fn prepare_cutoff(&mut self, max_loss: Db) {
+        self.cutoff = if self.inner.is_deterministic() {
+            ShadowCutoff::build(&self.inner, self.sigma_db, max_loss)
+        } else {
+            None
+        };
     }
 
     fn is_deterministic(&self) -> bool {
@@ -464,9 +512,8 @@ impl<P: Propagation> Nakagami<P> {
     /// the Marsaglia–Tsang method (with the shape<1 boost).
     fn gamma_unit_mean(&self) -> f64 {
         fn gauss(rng: &mut ChaCha12Rng) -> f64 {
-            let u1: f64 = 1.0 - rng.gen::<f64>();
-            let u2: f64 = rng.gen();
-            (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+            let (u1, u2) = uniforms(rng);
+            box_muller(u1, u2)
         }
         let mut rng = self.rng.borrow_mut();
         let shape = self.m;
@@ -523,6 +570,24 @@ impl<P: Propagation> Propagation for Nakagami<P> {
     }
 }
 
+/// The two uniforms of one Box–Muller draw, in stream order:
+/// `u₁ = 1 − U₁ ∈ (0, 1]`, so its logarithm is finite, and `u₂ ∈ [0, 1)`.
+fn uniforms(rng: &mut ChaCha12Rng) -> (f64, f64) {
+    let u1: f64 = 1.0 - rng.gen::<f64>();
+    let u2: f64 = rng.gen();
+    (u1, u2)
+}
+
+/// The standard normal variate `√(−2 ln u₁)·cos(2πu₂)` of the uniforms
+/// [`uniforms`] draws.
+pub(crate) fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// A shared reference forwards every query. It cannot forward
+/// [`prepare_cutoff`](Propagation::prepare_cutoff), so the model keeps
+/// the table it was prepared with, which it uses only for the same
+/// maximum loss.
 impl<P: Propagation + ?Sized> Propagation for &P {
     fn mean_path_loss(&self, distance_m: f64) -> Db {
         (**self).mean_path_loss(distance_m)
@@ -530,6 +595,10 @@ impl<P: Propagation + ?Sized> Propagation for &P {
 
     fn path_loss(&self, distance_m: f64) -> Db {
         (**self).path_loss(distance_m)
+    }
+
+    fn path_loss_within(&self, distance_sq: f64, max_loss: Db) -> Option<Db> {
+        (**self).path_loss_within(distance_sq, max_loss)
     }
 
     fn is_deterministic(&self) -> bool {
@@ -546,12 +615,20 @@ impl<P: Propagation + ?Sized> Propagation for &P {
 }
 
 impl<P: Propagation + ?Sized> Propagation for Box<P> {
+    fn prepare_cutoff(&mut self, max_loss: Db) {
+        (**self).prepare_cutoff(max_loss);
+    }
+
     fn mean_path_loss(&self, distance_m: f64) -> Db {
         (**self).mean_path_loss(distance_m)
     }
 
     fn path_loss(&self, distance_m: f64) -> Db {
         (**self).path_loss(distance_m)
+    }
+
+    fn path_loss_within(&self, distance_sq: f64, max_loss: Db) -> Option<Db> {
+        (**self).path_loss_within(distance_sq, max_loss)
     }
 
     fn is_deterministic(&self) -> bool {
@@ -905,6 +982,30 @@ mod tests {
         let det: Box<dyn Propagation> = Box::new(FreeSpace::at_frequency(914.0e6));
         assert!(matches!(det.save_state(), PropagationState::Stateless));
         det.restore_state(&PropagationState::Stateless); // no-op, must not panic
+    }
+
+    #[test]
+    fn bounded_queries_forward_through_trait_objects() {
+        // Answers from what it was prepared with, unlike the default.
+        struct Prepared(f64);
+        impl Propagation for Prepared {
+            fn mean_path_loss(&self, _: f64) -> Db {
+                Db::ZERO
+            }
+            fn path_loss_within(&self, distance_sq: f64, _: Db) -> Option<Db> {
+                Some(Db::new(self.0 + distance_sq))
+            }
+            fn prepare_cutoff(&mut self, max_loss: Db) {
+                self.0 = max_loss.db();
+            }
+        }
+        // Without explicit delegation the Box impl would prepare
+        // nothing and answer with the default exact path.
+        let mut boxed: Box<dyn Propagation> = Box::new(Prepared(0.0));
+        boxed.prepare_cutoff(Db::new(7.0));
+        assert_eq!(boxed.path_loss_within(2.0, Db::ZERO), Some(Db::new(9.0)));
+        let by_ref: &dyn Propagation = &*boxed;
+        assert_eq!(by_ref.path_loss_within(2.0, Db::ZERO), Some(Db::new(9.0)));
     }
 
     #[test]

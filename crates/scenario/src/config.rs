@@ -358,10 +358,20 @@ impl FaultPlan {
     }
 
     /// Total number of scheduled fault *injections* (revivals and
-    /// restorations ride along and are not counted).
+    /// restorations ride along and are not counted), summed without
+    /// overflow.
     #[must_use]
-    pub fn injections(&self) -> u32 {
-        self.crashes + self.recoveries + self.late_joins + self.deaf_spells + self.mute_spells
+    pub fn injections(&self) -> u64 {
+        [
+            self.crashes,
+            self.recoveries,
+            self.late_joins,
+            self.deaf_spells,
+            self.mute_spells,
+        ]
+        .into_iter()
+        .map(u64::from)
+        .sum()
     }
 }
 
@@ -833,7 +843,8 @@ impl ScenarioConfig {
     /// Checks what the runner derives from the fields rather than the
     /// fields themselves: the longest leg a mobility model can draw
     /// must fit the clock, the spatial index's query radius and cell
-    /// size must be finite, and its cells must be countable in `u32`.
+    /// size must be finite, its cells must be countable in `u32`, and
+    /// what the run allocates up front must fit [`MEMORY_BUDGET_BYTES`].
     /// Assumes [`validate_clock`] passed.
     ///
     /// [`validate_clock`]: Self::validate_clock
@@ -843,6 +854,7 @@ impl ScenarioConfig {
                 return Err(ConfigError::LegBeyondClock { leg_s });
             }
         }
+        let mut grid_cells = 0;
         if let Some((radius_m, cell_m)) = crate::runner::index_radii(self) {
             if !radius_m.is_finite() {
                 return Err(ConfigError::QueryRadiusNotFinite { radius_m });
@@ -851,9 +863,17 @@ impl ScenarioConfig {
                 return Err(ConfigError::GridCellNotFinite { cell_m });
             }
             let field = Rect::new(self.field_w_m, self.field_h_m);
-            if GridIndex::shape(field, cell_m).is_none() {
+            let Some((cols, rows)) = GridIndex::shape(field, cell_m) else {
                 return Err(ConfigError::GridTooLarge { cell_m });
-            }
+            };
+            grid_cells = cols * rows;
+        }
+        let estimate_bytes = crate::runner::upfront_bytes(self, grid_cells);
+        if estimate_bytes > MEMORY_BUDGET_BYTES {
+            return Err(ConfigError::OverMemoryBudget {
+                estimate_bytes,
+                budget_bytes: MEMORY_BUDGET_BYTES,
+            });
         }
         Ok(())
     }
@@ -885,6 +905,13 @@ impl ScenarioConfig {
         (speed > 0.0).then(|| diagonal / speed)
     }
 }
+
+/// The most a run may allocate before its first event, as
+/// [`ScenarioConfig::validate`] estimates it: 4 GiB. A million nodes
+/// take about a quarter of it; a population or grid past it is refused
+/// before anything is allocated, rather than aborting the process (and
+/// with it a sweep service's every worker) on a failed allocation.
+pub const MEMORY_BUDGET_BYTES: u64 = 4 << 30;
 
 /// Half the simulation clock's range, in microseconds. Every time
 /// field must round to less, so that an instant of the run plus any
@@ -1009,6 +1036,14 @@ pub enum ConfigError {
         /// The derived cell size in metres.
         cell_m: f64,
     },
+    /// The run would allocate more than [`MEMORY_BUDGET_BYTES`] up
+    /// front: too many nodes, planned faults, samples or grid cells.
+    OverMemoryBudget {
+        /// The estimated up-front allocation in bytes.
+        estimate_bytes: u64,
+        /// The budget in bytes.
+        budget_bytes: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -1076,6 +1111,14 @@ impl fmt::Display for ConfigError {
             ConfigError::GridTooLarge { cell_m } => write!(
                 f,
                 "a spatial index with {cell_m} m cells needs more than u32::MAX cells to cover the field"
+            ),
+            ConfigError::OverMemoryBudget {
+                estimate_bytes,
+                budget_bytes,
+            } => write!(
+                f,
+                "the run would allocate about {estimate_bytes} bytes up front, over the \
+                 {budget_bytes}-byte memory budget"
             ),
         }
     }
@@ -1258,6 +1301,115 @@ mod tests {
         }
     }
 
+    /// Configs that pass every other check but would allocate past
+    /// the memory budget before their first event. Only `validate` is
+    /// called: run, the first would ask for 172 GB and abort.
+    #[test]
+    fn over_budget_configs_are_a_typed_error() {
+        let short = ScenarioConfig {
+            sim_time_s: 30.0,
+            ..ScenarioConfig::paper_table1()
+        };
+        let cases = [
+            (
+                "u32::MAX nodes",
+                ScenarioConfig {
+                    n_nodes: u32::MAX,
+                    ..short
+                },
+            ),
+            (
+                "a 1e6 m field at Tx 10 m: 3.9e8 grid cells",
+                ScenarioConfig {
+                    field_w_m: 1e6,
+                    field_h_m: 1e6,
+                    tx_range_m: 10.0,
+                    ..short
+                },
+            ),
+            (
+                "u32::MAX planned crashes",
+                ScenarioConfig {
+                    faults: FaultPlan {
+                        crashes: u32::MAX,
+                        ..FaultPlan::default()
+                    },
+                    ..short
+                },
+            ),
+            (
+                "a sample every microsecond for a year",
+                ScenarioConfig {
+                    bi_s: 1e-6,
+                    sim_time_s: 3.2e7,
+                    ..short
+                },
+            ),
+            (
+                "u32::MAX conference booths",
+                ScenarioConfig {
+                    mobility: MobilityKind::ConferenceHall { booths: u32::MAX },
+                    ..short
+                },
+            ),
+            (
+                "u32::MAX RPGM groups",
+                ScenarioConfig {
+                    mobility: MobilityKind::Rpgm {
+                        groups: u32::MAX,
+                        member_radius_m: 30.0,
+                    },
+                    ..short
+                },
+            ),
+        ];
+        for (name, cfg) in cases {
+            let err = cfg.validate().unwrap_err();
+            match err {
+                ConfigError::OverMemoryBudget {
+                    estimate_bytes,
+                    budget_bytes,
+                } => {
+                    assert_eq!(budget_bytes, MEMORY_BUDGET_BYTES, "{name}");
+                    assert!(estimate_bytes > budget_bytes, "{name}: {err}");
+                }
+                other => panic!("{name}: expected the memory budget, got {other:?}"),
+            }
+            assert!(err.to_string().contains("memory budget"), "{name}: {err}");
+        }
+    }
+
+    #[test]
+    fn the_memory_budget_admits_the_largest_checked_in_populations() {
+        // bench_scaling's `--stretch` cell: a million nodes at the
+        // paper's density for 20 s, and the benchmark's sparse_n5k.
+        let side = 670.0 * (1e6f64 / 50.0).sqrt();
+        let stretch = ScenarioConfig {
+            n_nodes: 1_000_000,
+            field_w_m: side,
+            field_h_m: side,
+            sim_time_s: 20.0,
+            warmup_s: 5.0,
+            ..ScenarioConfig::paper_table1()
+        };
+        let sparse = ScenarioConfig {
+            n_nodes: 5_000,
+            field_w_m: 6_700.0,
+            field_h_m: 6_700.0,
+            tx_range_m: 100.0,
+            sim_time_s: 200.0,
+            ..ScenarioConfig::paper_table1()
+        };
+        for cfg in [stretch, sparse] {
+            assert_eq!(cfg.validate(), Ok(()), "{} nodes", cfg.n_nodes);
+        }
+        // The stretch cell leaves room for a few times its population.
+        let (_, cell_m) = crate::runner::index_radii(&stretch).expect("an indexed run");
+        let (cols, rows) = GridIndex::shape(Rect::new(side, side), cell_m).expect("a grid");
+        let estimate = crate::runner::upfront_bytes(&stretch, cols * rows);
+        assert!(estimate < MEMORY_BUDGET_BYTES / 3, "{estimate} bytes");
+    }
+
     #[test]
     fn a_speed_drawn_near_zero_on_a_vast_field_runs() {
         // A stochastic channel builds no grid, so a 1e12 m field
@@ -1278,7 +1430,13 @@ mod tests {
 
     #[test]
     fn clock_bounds_sit_at_one_tick_and_half_the_range() {
-        let mut c = ScenarioConfig::paper_table1();
+        // One simulated second: a sample every tick for the paper's
+        // 900 s would overrun the memory budget.
+        let mut c = ScenarioConfig {
+            sim_time_s: 1.0,
+            warmup_s: 0.0,
+            ..ScenarioConfig::paper_table1()
+        };
         // 0.6 µs rounds to the 1 µs tick, the shortest period allowed.
         c.bi_s = 6e-7;
         c.validate().unwrap();
@@ -1297,6 +1455,9 @@ mod tests {
             })
         ));
         c.adaptive_bi_min_s = 0.0;
+        // Sampled every 10⁶ s, so the series fit the memory budget.
+        c.bi_s = 1e6;
+        c.tp_s = 1e6;
         c.sim_time_s = 9e12;
         c.validate().unwrap();
         c.sim_time_s = 1e13;
@@ -1308,6 +1469,8 @@ mod tests {
             })
         ));
         c.sim_time_s = 900.0;
+        c.bi_s = 2.0;
+        c.tp_s = 3.0;
         c.faults = FaultPlan {
             recoveries: 1,
             recovery_after_s: 1e13,

@@ -65,6 +65,7 @@ mod sweep;
 pub use config::{
     AuditMode, CheckpointPolicy, ConfigError, DeliveryPath, FastPath, FaultPlan, FaultTarget,
     LossKind, MobilityKind, PropagationKind, Recluster, ScenarioConfig, Scheduler,
+    MEMORY_BUDGET_BYTES,
 };
 pub use runner::{
     config_hash_for, manifest_for, run_scenario, run_scenario_checkpointed,

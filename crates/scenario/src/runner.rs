@@ -763,6 +763,70 @@ pub(crate) fn index_radii(cfg: &ScenarioConfig) -> Option<(f64, f64)> {
     Some((base, cell))
 }
 
+/// An allowance for one node's boxed mobility model: at least the
+/// largest model struct, whose ChaCha stream sits inline (checked by
+/// the unit test `model_allowance_covers_every_model`).
+const MODEL_BYTES: usize = 512;
+
+/// The bytes a run of `cfg` allocates before its first event, given the
+/// spatial index's cell count (0 on the brute-force path):
+///
+/// * per node: a queue slot, the position, the MAC vectors (last
+///   arrival, pending reception), the motion segment and boxed model,
+///   the node-table entry with its neighbor table, four transition-log
+///   entries and, with the index, its copy of the position;
+/// * a queue slot per planned fault, and the sampler's;
+/// * the mobility models' shared state: each conference attendee's
+///   copy of the booth list, each RPGM group;
+/// * the three series sampled once per broadcast interval;
+/// * the index's cells.
+///
+/// Saturates instead of overflowing, so a huge config reads as
+/// `u64::MAX` rather than as a small number.
+pub(crate) fn upfront_bytes(cfg: &ScenarioConfig, grid_cells: usize) -> u64 {
+    use std::mem::size_of;
+    let queue_slot = size_of::<(SimTime, u64, Ev)>();
+    let index_copy = if grid_cells > 0 {
+        size_of::<Vec2>() + size_of::<u32>()
+    } else {
+        0
+    };
+    let per_node = queue_slot
+        + size_of::<Vec2>()
+        + size_of::<Option<SimTime>>()
+        + size_of::<Option<PendingRx>>()
+        + size_of::<mobic_mobility::Segment>()
+        + size_of::<Box<dyn Mobility>>()
+        + MODEL_BYTES
+        + size_of::<ClusterNode>()
+        + size_of::<ClusterTable>()
+        + 3 * size_of::<bool>()
+        + 4 * size_of::<mobic_core::RoleTransition>()
+        + index_copy;
+    let n = u64::from(cfg.n_nodes);
+    let shared = match cfg.mobility {
+        MobilityKind::ConferenceHall { booths } => u64::from(booths)
+            .saturating_mul(size_of::<Vec2>() as u64)
+            .saturating_mul(n + 1),
+        MobilityKind::Rpgm { groups, .. } => {
+            u64::from(groups).saturating_mul(size_of::<RpgmGroup>() as u64)
+        }
+        _ => 0,
+    };
+    // The float-to-integer cast saturates, as the runner's own does.
+    let samples = ((cfg.sim_time_s / cfg.bi_s) as u64).saturating_add(2);
+    let sample_bytes = 3 * (size_of::<SimTime>() + size_of::<f64>());
+    [
+        n.saturating_mul(per_node as u64),
+        (cfg.faults.injections() + 2).saturating_mul(queue_slot as u64),
+        shared,
+        samples.saturating_mul(sample_bytes as u64),
+        (grid_cells as u64).saturating_mul(size_of::<Vec<u32>>() as u64),
+    ]
+    .into_iter()
+    .fold(0, u64::saturating_add)
+}
+
 /// A reception withheld from the neighbor table while its vulnerable
 /// window is open (MAC collision model, `packet_time_s > 0`).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -2078,6 +2142,40 @@ mod tests {
         c.tx_range_m = 250.0;
         c.algorithm = alg;
         c
+    }
+
+    #[test]
+    fn model_allowance_covers_every_model() {
+        let kinds = [
+            MobilityKind::RandomWaypoint,
+            MobilityKind::RandomWalk { epoch_s: 5.0 },
+            MobilityKind::GaussMarkov { alpha: 0.75 },
+            MobilityKind::Rpgm {
+                groups: 2,
+                member_radius_m: 30.0,
+            },
+            MobilityKind::Highway {
+                lanes: 2,
+                bidirectional: true,
+            },
+            MobilityKind::ConferenceHall { booths: 4 },
+            MobilityKind::Manhattan {
+                block_m: 100.0,
+                p_turn: 0.5,
+            },
+            MobilityKind::Stationary,
+        ];
+        for mobility in kinds {
+            let cfg = ScenarioConfig {
+                mobility,
+                ..small(AlgorithmKind::Mobic)
+            };
+            let field = Rect::new(cfg.field_w_m, cfg.field_h_m);
+            for model in build_mobility(&cfg, field, &SeedSplitter::new(1)) {
+                let size = std::mem::size_of_val(&*model);
+                assert!(size <= MODEL_BYTES, "{mobility:?}: {size} bytes");
+            }
+        }
     }
 
     #[test]

@@ -884,6 +884,17 @@ mod tests {
     }
 
     #[test]
+    fn spec_refuses_an_over_budget_base_before_expanding_it() {
+        // Validation only: at u32::MAX nodes a run would first ask for
+        // 172 GB, and a failed allocation aborts the whole service.
+        let mut spec = tiny_spec();
+        spec.base.n_nodes = u32::MAX;
+        let err = spec.validate().unwrap_err().to_string();
+        assert!(err.contains("memory budget"), "{err}");
+        assert!(SweepSpec::from_json(&spec.to_json()).is_err());
+    }
+
+    #[test]
     fn spec_rejects_empty_grids_and_bad_cells() {
         let mut spec = tiny_spec();
         spec.tx_values.clear();

@@ -6,7 +6,8 @@
 # regression in either event-loop path fails the script), a sweep
 # resume smoke, a checkpoint kill/resume drill (run -> SIGKILL ->
 # resume -> byte-compare), and a live mobic-sweepd service smoke
-# (checkpointed cells under a deadline, full cache hit on resubmit,
+# (checkpointed cells under a deadline, an over-budget population
+# refused without harming the service, full cache hit on resubmit,
 # graceful drain, no snapshot directory left behind).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -73,8 +74,10 @@ echo "== lossy-path goldens (ablation_loss + ablation_collisions regenerate byte
 # Both bins write results/<name>.csv under the working directory: run
 # them from a temp dir at the goldens' own settings (5 seeds, full
 # horizon, whatever MOBIC_SEEDS/MOBIC_FAST say) and compare with the
-# checked-in CSVs. A change to the loss models, the MAC collision rule
-# or anything they feed fails here.
+# checked-in CSVs. A change to the loss models or the MAC collision
+# rule fails here. Both bins run free space: the shadowed and Nakagami
+# channels' bytes are pinned by tier-1's
+# `tests/determinism.rs::stochastic_channels_match_pinned_digests`.
 GOLDEN_DIR="$(mktemp -d)"
 trap 'rm -rf "$GOLDEN_DIR"' EXIT
 cargo build --release -q -p mobic-bench --bin ablation_loss --bin ablation_collisions
@@ -176,7 +179,7 @@ ls "$CKPT_DIR/snaps"/*.ckpt >/dev/null
 grep -q "checkpoint: resuming at event" "$CKPT_DIR/resumed.log"
 cmp "$CKPT_DIR/ref.json" "$CKPT_DIR/resumed.json"
 
-echo "== sweepd service smoke (checkpointed cells under a deadline, 100% cache hit on resubmit, drain) =="
+echo "== sweepd service smoke (checkpointed cells under a deadline, over-budget refusal, 100% cache hit on resubmit, drain) =="
 SWEEPD_DIR="$(mktemp -d)"
 SWEEPD_LOG="$SWEEPD_DIR/sweepd.log"
 SWEEPD_PID=""
@@ -203,6 +206,34 @@ test -n "$ADDR"
 ./target/release/mobic-cli sweep --server "$ADDR" \
     --nodes 40 --time 120 --tx-sweep 150:200:50 --seeds 2 \
     --algorithms lcc >/dev/null
+# A population past the memory budget is refused before anything runs:
+# the client names the budget and exits non-zero, and the service
+# answers the same base with 400 before queueing it. (A queued cell
+# of 2^32-1 nodes once aborted the whole service on its first
+# allocation; the cache-hit resubmit and the drain below show it
+# survives.) The raw POST reuses a run manifest's config echo.
+if OVER="$(./target/release/mobic-cli sweep --server "$ADDR" \
+    --nodes 4294967295 --time 30 --tx-sweep 150:200:50 --seeds 2 \
+    --algorithms lcc 2>&1)"; then
+    echo "an over-budget sweep was accepted" >&2
+    exit 1
+fi
+grep -q "memory budget" <<<"$OVER"
+./target/release/mobic-cli run --nodes 5 --time 30 \
+    --trace "$SWEEPD_DIR/echo.jsonl" >/dev/null 2>&1
+python3 - "$ADDR" "$SWEEPD_DIR/echo.manifest.json" <<'PY'
+import http.client, json, sys
+host, port = sys.argv[1].rsplit(":", 1)
+base = json.load(open(sys.argv[2]))[0]["config"]
+base["n_nodes"] = 4294967295
+spec = {"base": base, "tx_values": [150.0], "algorithms": ["Lcc"], "seeds": 1}
+conn = http.client.HTTPConnection(host, int(port), timeout=30)
+conn.request("POST", "/sweep", json.dumps(spec), {"Content-Type": "application/json"})
+resp = conn.getresponse()
+body = resp.read().decode()
+assert resp.status == 400 and "memory budget" in body, (resp.status, body)
+print(f"   sweepd answered the over-budget base with {resp.status}")
+PY
 # The identical spec resubmitted must be answered entirely from the
 # cache: two cells cached, zero queued, zero scenario runs.
 ./target/release/mobic-cli sweep --server "$ADDR" \

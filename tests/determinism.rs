@@ -103,3 +103,62 @@ fn seed_changes_everything_config_changes_only_what_it_should() {
     );
     assert_eq!(lcc.hello_broadcasts, mobic.hello_broadcasts);
 }
+
+/// FNV-1a of the run's compact `RunResult` JSON with `perf` reset: the
+/// bytes of everything the run computed, as the benchmark's output
+/// check hashes them.
+fn result_digest(cfg: &ScenarioConfig, seed: u64) -> u64 {
+    let mut result = run_scenario(cfg, seed).expect("valid");
+    result.perf = mobic::scenario::RunPerf::default();
+    let json = serde_json::to_string(&result).expect("RunResult serializes");
+    mobic::trace::fnv1a64(json.as_bytes())
+}
+
+/// Pins the bytes of runs over the stochastic channels, which nothing
+/// else in the workspace's tests does: the other determinism checks
+/// compare a run with itself, and the snapshot fixture and the
+/// experiment goldens run free space. A change to the shadowing or
+/// fading draws, the order they are taken in, or the reception test
+/// they feed moves a digest here.
+#[test]
+fn stochastic_channels_match_pinned_digests() {
+    let lossy = |propagation| {
+        let mut cfg = ScenarioConfig::paper_table1();
+        cfg.n_nodes = 40;
+        cfg.sim_time_s = 120.0;
+        cfg.tx_range_m = 150.0;
+        cfg.propagation = propagation;
+        cfg.loss = LossKind::BurstyPreset;
+        cfg.packet_time_s = 0.000_25;
+        cfg.faults = mobic::scenario::FaultPlan {
+            crashes: 2,
+            recoveries: 2,
+            deaf_spells: 2,
+            mute_spells: 2,
+            ..Default::default()
+        };
+        cfg
+    };
+    let shadowed = |sigma_db| lossy(PropagationKind::ShadowedFreeSpace { sigma_db });
+    let cases = [
+        ("σ = 4 dB", shadowed(4.0), 0, 0xe887_463c_49f2_82cd_u64),
+        ("σ = 4 dB", shadowed(4.0), 1, 0x4820_ac8a_41a8_49fa),
+        ("σ = 0.5 dB", shadowed(0.5), 0, 0xc359_1230_98c5_8a5d),
+        (
+            "Nakagami m = 1",
+            lossy(PropagationKind::NakagamiFreeSpace { m: 1.0 }),
+            0,
+            0x287e_6b64_c1f4_9789,
+        ),
+    ];
+    let mut got = Vec::new();
+    for (name, cfg, seed, _) in &cases {
+        got.push((*name, *seed, result_digest(cfg, *seed)));
+    }
+    for ((name, _, seed, want), &(_, _, digest)) in cases.iter().zip(&got) {
+        assert_eq!(
+            digest, *want,
+            "{name} at seed {seed}: digest {digest:#018x}, pinned {want:#018x}; all: {got:x?}"
+        );
+    }
+}

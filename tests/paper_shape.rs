@@ -182,8 +182,9 @@ fn pauses_reduce_churn() {
     );
 }
 
-/// `(Tx, seed-mean CS)` of one algorithm in a `results/*.json` sweep.
-fn golden_sweep(json: &str, algorithm: &str) -> Vec<(f64, f64)> {
+/// `(x, seed mean of key)` of one algorithm in a `results/*.json`
+/// sweep, where `key` is a cell's `mean_cs` or `mean_clusters`.
+fn golden_sweep(json: &str, algorithm: &str, key: &str) -> Vec<(f64, f64)> {
     let cells: serde_json::Value = serde_json::from_str(json).expect("golden parses");
     cells
         .as_array()
@@ -192,16 +193,16 @@ fn golden_sweep(json: &str, algorithm: &str) -> Vec<(f64, f64)> {
         .filter(|cell| cell["algorithm"].as_str() == Some(algorithm))
         .map(|cell| {
             let x = cell["x"].as_f64().expect("x");
-            (x, cell["mean_cs"].as_f64().expect("mean_cs"))
+            (x, cell[key].as_f64().unwrap_or_else(|| panic!("{key}")))
         })
         .collect()
 }
 
-/// `(x, LCC CS, MOBIC CS)` rows of a `results/*.json` sweep, paired
-/// by x.
-fn golden_pairs(json: &str) -> Vec<(f64, f64, f64)> {
-    let lcc = golden_sweep(json, "lcc");
-    let mobic = golden_sweep(json, "mobic");
+/// `(x, LCC, MOBIC)` rows of one key (see [`golden_sweep`]) of a
+/// `results/*.json` sweep, paired by x.
+fn golden_pairs(json: &str, key: &str) -> Vec<(f64, f64, f64)> {
+    let lcc = golden_sweep(json, "lcc", key);
+    let mobic = golden_sweep(json, "mobic", key);
     assert_eq!(lcc.len(), mobic.len(), "the golden pairs the algorithms");
     lcc.iter()
         .zip(&mobic)
@@ -234,7 +235,7 @@ fn peak(points: &[(f64, f64)]) -> f64 {
 #[test]
 fn golden_fig3_peaks_at_50m_and_crosses_over_near_100m() {
     // (Tx, LCC CS, MOBIC CS), printed by every failure below.
-    let table = golden_pairs(include_str!("../results/fig3.json"));
+    let table = golden_pairs(include_str!("../results/fig3.json"), "mean_cs");
     let lcc: Vec<(f64, f64)> = table.iter().map(|&(x, l, _)| (x, l)).collect();
     assert_eq!(table.len(), 11, "{table:?}");
     assert_eq!(
@@ -261,8 +262,42 @@ fn golden_fig3_peaks_at_50m_and_crosses_over_near_100m() {
 }
 
 #[test]
+fn golden_fig4_clusters_fall_with_range_and_mobic_forms_slightly_more() {
+    // (Tx, LCC clusters, MOBIC clusters), printed by every failure.
+    let table = golden_pairs(include_str!("../results/fig4.json"), "mean_clusters");
+    assert_eq!(
+        table.len(),
+        11,
+        "Fig 4 sweeps Tx 10, 25 and 50..=250 m; golden (Tx, LCC, MOBIC): {table:?}"
+    );
+    for pair in table.windows(2) {
+        let ((x0, l0, m0), (x1, l1, m1)) = (pair[0], pair[1]);
+        assert!(
+            l1 < l0 && m1 < m0,
+            "Fig 4: the cluster count falls strictly with Tx for both algorithms, \
+             not from {x0} to {x1} m; golden (Tx, LCC, MOBIC): {table:?}"
+        );
+    }
+    for &(x, l, m) in &table {
+        assert!(
+            (1.0..=1.13).contains(&(m / l)),
+            "Fig 4: MOBIC forms at least as many clusters as LCC and at most 13 % \
+             more (\"little difference\"), not {:.3}× at {x} m; golden (Tx, LCC, MOBIC): \
+             {table:?}",
+            m / l
+        );
+    }
+    let peak = table.iter().find(|r| r.0 == 50.0).expect("a 50 m row");
+    assert!(
+        (30.0..=34.0).contains(&peak.1) && (30.0..=34.0).contains(&peak.2),
+        "Fig 4: both algorithms sit at 30–34 clusters at the 50 m churn peak; \
+         golden (Tx, LCC, MOBIC): {table:?}"
+    );
+}
+
+#[test]
 fn golden_fig5_mobic_beats_lcc_from_150_to_250m() {
-    let table = golden_pairs(include_str!("../results/fig5.json"));
+    let table = golden_pairs(include_str!("../results/fig5.json"), "mean_cs");
     let large: Vec<(f64, f64, f64)> = table
         .iter()
         .copied()
@@ -284,7 +319,7 @@ fn golden_fig5_mobic_beats_lcc_from_150_to_250m() {
 
 #[test]
 fn golden_fig6a_mobic_beats_lcc_at_every_max_speed() {
-    let table = golden_pairs(include_str!("../results/fig6a.json"));
+    let table = golden_pairs(include_str!("../results/fig6a.json"), "mean_cs");
     assert_eq!(
         table.len(),
         3,
@@ -295,6 +330,26 @@ fn golden_fig6a_mobic_beats_lcc_at_every_max_speed() {
             m < l,
             "Fig 6(a): always mobile at Tx = 250 m, MOBIC's CS is below LCC's at every \
              max speed, not at {v} m/s; golden (max speed, LCC, MOBIC): {table:?}"
+        );
+    }
+}
+
+#[test]
+fn golden_fig6b_mobic_is_at_parity_with_lcc_at_every_max_speed() {
+    // The documented partial result: with pauses the paper keeps a
+    // reduced gain, ours reaches parity.
+    let table = golden_pairs(include_str!("../results/fig6b.json"), "mean_cs");
+    assert_eq!(
+        table.len(),
+        3,
+        "Fig 6(b) has three max speeds; golden (max speed, LCC, MOBIC): {table:?}"
+    );
+    for &(v, l, m) in &table {
+        assert!(
+            (m / l - 1.0).abs() <= 0.05,
+            "Fig 6(b): with pauses MOBIC's CS is within ±5 % of LCC's at every max \
+             speed, not {:+.1} % at {v} m/s; golden (max speed, LCC, MOBIC): {table:?}",
+            (m / l - 1.0) * 100.0
         );
     }
 }
