@@ -1,5 +1,5 @@
 //! Experiment harness regenerating every table and figure of the MOBIC
-//! paper, plus the `bench_scaling` and `bench_hotpath` smokes.
+//! paper, plus the `bench_scaling` smoke.
 //!
 //! Each figure/table has a dedicated binary in `src/bin/` (see
 //! DESIGN.md §3 for the index). All binaries:

@@ -24,8 +24,7 @@ fn main() {
             }
         }
         Err(e) => {
-            eprintln!("error: {e}\n");
-            eprint!("{}", usage());
+            eprintln!("error: {e}\nrun `mobic-cli help` for usage");
             std::process::exit(2);
         }
     }

@@ -276,6 +276,7 @@ fn sweep_out_writes_cell_files_and_resume_skips_them() {
 
 #[test]
 fn bad_arguments_fail_with_usage_on_stderr() {
+    // The cause and a pointer to `help`, not the whole usage text.
     let out = cli()
         .args(["run", "--algorithm", "bogus"])
         .output()
@@ -283,8 +284,11 @@ fn bad_arguments_fail_with_usage_on_stderr() {
     assert!(!out.status.success());
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("bogus"));
-    assert!(err.contains("USAGE"));
+    assert!(err.starts_with("error: "), "{err}");
+    assert!(err.contains("bogus"), "{err}");
+    assert!(err.contains("mobic-cli help"), "{err}");
+    assert!(!err.contains("USAGE"), "{err}");
+    assert_eq!(err.lines().count(), 2, "{err}");
 }
 
 #[test]

@@ -50,7 +50,8 @@ pub fn aggregate_with(samples: &[f64], how: MetricAggregation) -> f64 {
             samples.iter().map(|s| s * s).sum::<f64>() / samples.len() as f64
         }
         MetricAggregation::MedianSq => {
-            // lint:allow(hot-path-call-alloc): MedianSq (ablation-only) sorts the full squared sample set; Var0/MaxSq stream without allocating
+            // Ablation only: sorting allocates the squared sample set,
+            // where Var0 and MaxSq stream.
             let mut squares: Vec<f64> = samples.iter().map(|s| s * s).collect();
             squares.sort_by(|a, b| a.partial_cmp(b).expect("squares are finite"));
             let n = squares.len();
@@ -185,7 +186,8 @@ pub fn table_mobility_with<P>(
     how: MetricAggregation,
 ) -> AggregateMetric {
     if how == MetricAggregation::MedianSq {
-        // lint:allow(hot-path-call-alloc): MedianSq (ablation-only) must collect the full sample set to sort; the default Var0/MaxSq modes stream without allocating
+        // Ablation only: the median needs the full sample set, so this
+        // allocates, where Var0 and MaxSq stream.
         let mut samples = Vec::new();
         for (_, entry) in table.iter() {
             if let Some((old, new)) = entry.successive_pair() {

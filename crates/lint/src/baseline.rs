@@ -139,9 +139,7 @@ pub fn parse(text: &str) -> Result<Baseline, String> {
     Ok(Baseline { entries })
 }
 
-/// A minimal JSON value — just enough for baseline files (and for the
-/// CI `--graph-json` smoke, which reuses [`Json::parse`] to prove the
-/// dump is well-formed).
+/// A minimal JSON value — just enough for baseline files.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -354,7 +352,6 @@ mod tests {
         Analysis {
             findings,
             files_scanned: 1,
-            functions: 0,
             notes: Vec::new(),
         }
     }
@@ -364,10 +361,10 @@ mod tests {
         let b = parse("{\"version\": 1, \"findings\": []}").expect("parses");
         assert!(b.entries.is_empty());
         let mut a = analysis_with(vec![Finding::new(
-            RuleId::HotPathCallAlloc,
+            RuleId::HotPathAlloc,
             "crates/sim/src/x.rs",
             3,
-            "reaches an allocation".to_string(),
+            "allocation in hot-path region: `vec!`".to_string(),
         )]);
         b.apply(&mut a);
         assert!(!a.findings[0].baselined);
@@ -377,16 +374,16 @@ mod tests {
     #[test]
     fn matching_entry_baselines_the_finding_line_free() {
         let b = parse(
-            "{\"version\":1,\"findings\":[{\"rule\":\"hot-path-call-alloc\",\
-             \"file\":\"crates/sim/src/x.rs\",\"message\":\"reaches an allocation\"}]}",
+            "{\"version\":1,\"findings\":[{\"rule\":\"hot-path-alloc\",\
+             \"file\":\"crates/sim/src/x.rs\",\"message\":\"allocation in hot-path region: `vec!`\"}]}",
         )
         .expect("parses");
         // Line 99 on purpose: the key ignores lines.
         let mut a = analysis_with(vec![Finding::new(
-            RuleId::HotPathCallAlloc,
+            RuleId::HotPathAlloc,
             "crates/sim/src/x.rs",
             99,
-            "reaches an allocation".to_string(),
+            "allocation in hot-path region: `vec!`".to_string(),
         )]);
         b.apply(&mut a);
         assert!(a.findings[0].baselined);

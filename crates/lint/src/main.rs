@@ -1,8 +1,7 @@
 //! The `mobic-lint` command-line entry point.
 //!
 //! ```text
-//! mobic-lint [--root <path>] [--graph-json | --emit-baseline]
-//!            [--baseline <file>]
+//! mobic-lint [--root <path>] [--emit-baseline] [--baseline <file>]
 //! ```
 //!
 //! Exit codes: `0` clean, `1` unsuppressed (and unbaselined) findings,
@@ -13,26 +12,18 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-enum Mode {
-    Human,
-    GraphJson,
-    EmitBaseline,
-}
-
 fn usage() -> &'static str {
-    "usage: mobic-lint [--root <path>] [--graph-json | --emit-baseline]\n\
-     \x20                 [--baseline <file>]\n\
+    "usage: mobic-lint [--root <path>] [--emit-baseline] [--baseline <file>]\n\
      \n\
-     Scans the workspace for allocations in `lint:hot-path` regions, directly\n\
-     (hot-path-alloc) or through the calls made there (hot-path-call-alloc),\n\
-     and for malformed `lint:` directives. The per-line bans on hash\n\
-     containers, clocks, the environment, panics and raw writes are\n\
-     clippy's (`clippy.toml` and the crates' `#![deny(...)]`s).\n\
+     Scans the workspace for allocations written in `lint:hot-path` regions\n\
+     (hot-path-alloc) and for malformed `lint:` directives. The per-line\n\
+     bans on hash containers, clocks, the environment, panics and raw\n\
+     writes are clippy's (`clippy.toml` and the crates' `#![deny(...)]`s);\n\
+     tests/steady_state_allocations.rs measures the loop's allocations.\n\
      \n\
-       --root <path>     workspace root (default: nearest [workspace] manifest)\n\
-       --graph-json      dump the call graph (functions, calls, resolution)\n\
-       --baseline <f>    accept findings listed in <f>; fail only on NEW ones\n\
-       --emit-baseline   print the current findings as a baseline file\n"
+     \x20 --root <path>     workspace root (default: nearest [workspace] manifest)\n\
+     \x20 --baseline <f>    accept findings listed in <f>; fail only on NEW ones\n\
+     \x20 --emit-baseline   print the current findings as a baseline file\n"
 }
 
 fn find_workspace_root() -> Option<PathBuf> {
@@ -51,14 +42,13 @@ fn find_workspace_root() -> Option<PathBuf> {
 }
 
 fn main() -> ExitCode {
-    let mut mode = Mode::Human;
+    let mut emit_baseline = false;
     let mut root: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--graph-json" => mode = Mode::GraphJson,
-            "--emit-baseline" => mode = Mode::EmitBaseline,
+            "--emit-baseline" => emit_baseline = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
@@ -89,8 +79,8 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
-    let (mut analysis, graph) = match mobic_lint::analyze_workspace(&root) {
-        Ok(pair) => pair,
+    let mut analysis = match mobic_lint::scan_workspace(&root) {
+        Ok(analysis) => analysis,
         Err(e) => {
             eprintln!("error: scanning {} failed: {e}", root.display());
             return ExitCode::from(2);
@@ -107,15 +97,14 @@ fn main() -> ExitCode {
         }
     }
 
-    match mode {
-        Mode::Human => print!("{}", mobic_lint::report::render_human(&analysis)),
-        Mode::GraphJson => print!("{}", mobic_lint::report::render_graph_json(&graph)),
-        Mode::EmitBaseline => print!("{}", mobic_lint::baseline::render(&analysis)),
-    }
-
     // --emit-baseline is an authoring aid: it always succeeds so the
     // output can be captured even from a dirty tree.
-    if matches!(mode, Mode::EmitBaseline) || analysis.is_clean() {
+    if emit_baseline {
+        print!("{}", mobic_lint::baseline::render(&analysis));
+        return ExitCode::SUCCESS;
+    }
+    print!("{}", mobic_lint::report::render_human(&analysis));
+    if analysis.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

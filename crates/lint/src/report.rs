@@ -1,12 +1,9 @@
-//! Rendering of analysis results: human diagnostics and the
-//! `--graph-json` call-graph dump.
-//!
-//! JSON is emitted by hand (the linter is zero-dependency, so no
-//! serde); the only subtlety is string escaping, which
-//! [`escape_json`] handles for the control/quote/backslash cases that
-//! can actually appear in paths and messages.
+//! Rendering of analysis results: human diagnostics, and the string
+//! escaping the hand-written baseline JSON needs (the linter is
+//! zero-dependency, so no serde). [`escape_json`] handles the
+//! control/quote/backslash cases that can actually appear in paths and
+//! messages.
 
-use crate::graph::Graph;
 use crate::rules::Finding;
 use crate::Analysis;
 use std::fmt::Write as _;
@@ -36,8 +33,8 @@ fn is_active(f: &Finding) -> bool {
     !f.suppressed && !f.baselined
 }
 
-/// Renders human-readable diagnostics, one block per finding (witness
-/// chains indented under flow findings), followed by a summary line.
+/// Renders human-readable diagnostics, one block per finding, followed
+/// by a summary line.
 /// Suppressed and baselined findings are listed separately so both
 /// exception inventories stay visible in every run.
 #[must_use]
@@ -54,9 +51,6 @@ pub fn render_human(analysis: &Analysis) -> String {
     for f in &active {
         let _ = writeln!(out, "error[{}]: {}", f.rule.name(), f.message);
         let _ = writeln!(out, "  --> {}:{}", f.file, f.line);
-        for (i, hop) in f.witness.iter().enumerate() {
-            let _ = writeln!(out, "  {}: {} ({}:{})", i + 1, hop.what, hop.file, hop.line);
-        }
     }
     if !baselined.is_empty() {
         let _ = writeln!(out, "baselined findings ({}):", baselined.len());
@@ -89,10 +83,8 @@ pub fn render_human(analysis: &Analysis) -> String {
     }
     let _ = writeln!(
         out,
-        "{} file(s) scanned, {} function(s) in the call graph, {} finding(s) \
-         ({} suppressed, {} baselined)",
+        "{} file(s) scanned, {} finding(s) ({} suppressed, {} baselined)",
         analysis.files_scanned,
-        analysis.functions,
         active.len(),
         suppressed.len(),
         baselined.len()
@@ -100,109 +92,12 @@ pub fn render_human(analysis: &Analysis) -> String {
     out
 }
 
-/// Renders the call graph machine-readably (the `--graph-json` mode):
-/// every function item with its resolution-annotated calls, plus the
-/// summary counters. External calls are kept — the resolution policy
-/// itself must stay auditable.
-#[must_use]
-pub fn render_graph_json(graph: &Graph) -> String {
-    let mut fns = Vec::with_capacity(graph.fns.len());
-    for f in &graph.fns {
-        let mut s = format!(
-            "{{\"id\":{},\"name\":\"{}\",\"file\":\"{}\",\"line\":{}",
-            f.id,
-            escape_json(&f.name),
-            escape_json(&f.file),
-            f.decl_line
-        );
-        if let Some(owner) = &f.owner {
-            let _ = write!(s, ",\"owner\":\"{}\"", escape_json(owner));
-        }
-        if let Some(krate) = &f.crate_name {
-            let _ = write!(s, ",\"crate\":\"{}\"", escape_json(krate));
-        }
-        if f.is_pub {
-            s.push_str(",\"pub\":true");
-        }
-        if f.is_test {
-            s.push_str(",\"test\":true");
-        }
-        if let Some(reason) = &f.cold {
-            let _ = write!(s, ",\"cold\":\"{}\"", escape_json(reason));
-        }
-        if let Some(hit) = &f.alloc_sink {
-            let _ = write!(
-                s,
-                ",\"alloc_sink\":{{\"what\":\"{}\",\"line\":{}}}",
-                escape_json(&hit.what),
-                hit.line
-            );
-        }
-        let calls: Vec<String> = f
-            .calls
-            .iter()
-            .map(|c| {
-                let mut cs = format!(
-                    "{{\"name\":\"{}\",\"kind\":\"{}\",\"line\":{},\"resolution\":\"{}\"",
-                    escape_json(&c.name),
-                    c.kind.name(),
-                    c.line,
-                    c.resolution.name()
-                );
-                if !c.qual.is_empty() {
-                    let segs: Vec<String> = c
-                        .qual
-                        .iter()
-                        .map(|q| format!("\"{}\"", escape_json(q)))
-                        .collect();
-                    let _ = write!(cs, ",\"qual\":[{}]", segs.join(","));
-                }
-                if c.hot {
-                    cs.push_str(",\"hot\":true");
-                }
-                if !c.targets.is_empty() {
-                    let ids: Vec<String> = c.targets.iter().map(usize::to_string).collect();
-                    let _ = write!(cs, ",\"targets\":[{}]", ids.join(","));
-                }
-                cs.push('}');
-                cs
-            })
-            .collect();
-        let _ = write!(s, ",\"calls\":[{}]}}", calls.join(","));
-        fns.push(s);
-    }
-    format!(
-        "{{\"functions\":[{}],\"function_count\":{},\"external_calls\":{}}}\n",
-        fns.join(","),
-        graph.fns.len(),
-        graph.external_calls()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{RuleId, WitnessHop};
+    use crate::rules::RuleId;
 
     fn sample() -> Analysis {
-        let mut flow = Finding::new(
-            RuleId::HotPathCallAlloc,
-            "crates/net/src/delivery.rs",
-            12,
-            "hot-path call to `stage` reaches `Vec::new`".to_string(),
-        );
-        flow.witness = vec![
-            WitnessHop {
-                what: "calls `stage` from a `lint:hot-path` region".to_string(),
-                file: "crates/net/src/delivery.rs".to_string(),
-                line: 12,
-            },
-            WitnessHop {
-                what: "hits `Vec::new`".to_string(),
-                file: "crates/net/src/stage.rs".to_string(),
-                line: 80,
-            },
-        ];
         Analysis {
             findings: vec![
                 Finding::new(
@@ -212,13 +107,12 @@ mod tests {
                     "allocation in hot-path region: `Vec::new`".to_string(),
                 ),
                 Finding {
-                    rule: RuleId::HotPathCallAlloc,
+                    rule: RuleId::HotPathAlloc,
                     file: "crates/sim/src/y.rs".to_string(),
                     line: 3,
-                    message: "hot-path call to `grow` reaches `Vec::new`".to_string(),
+                    message: "allocation in hot-path region: `vec!`".to_string(),
                     suppressed: true,
                     reason: Some("grows once, then reused".to_string()),
-                    witness: Vec::new(),
                     baselined: false,
                 },
                 Finding {
@@ -228,47 +122,23 @@ mod tests {
                     message: "old known allocation".to_string(),
                     suppressed: false,
                     reason: None,
-                    witness: Vec::new(),
                     baselined: true,
                 },
-                flow,
             ],
             files_scanned: 2,
-            functions: 4,
             notes: vec!["a note".to_string()],
         }
     }
 
     #[test]
-    fn human_output_lists_all_tiers_and_witness_hops() {
+    fn human_output_lists_all_tiers() {
         let text = render_human(&sample());
         assert!(text.contains("error[hot-path-alloc]"));
         assert!(text.contains("crates/net/src/x.rs:7"));
         assert!(text.contains("suppressed findings (1):"));
         assert!(text.contains("baselined findings (1):"));
-        assert!(text.contains(
-            "1: calls `stage` from a `lint:hot-path` region (crates/net/src/delivery.rs:12)"
-        ));
-        assert!(text.contains("2: hits `Vec::new` (crates/net/src/stage.rs:80)"));
-        assert!(text.contains("2 finding(s) (1 suppressed, 1 baselined)"));
-    }
-
-    #[test]
-    fn graph_json_parses_and_names_functions() {
-        let graph = crate::graph::build(&[(
-            "crates/sim/src/engine.rs".to_string(),
-            "pub fn step() { helper(); }\nfn helper() { let v: Vec<u32> = Vec::new(); }\n"
-                .to_string(),
-        )]);
-        let dump = render_graph_json(&graph);
-        let parsed = crate::baseline::Json::parse(&dump).expect("dump must be valid JSON");
-        assert_eq!(
-            parsed.get("function_count"),
-            Some(&crate::baseline::Json::Number(2.0))
-        );
-        assert!(dump.contains("\"name\":\"step\""));
-        assert!(dump.contains("\"alloc_sink\":{\"what\":\"`Vec::new`\""));
-        assert!(dump.contains("\"resolution\":\"unique\""));
+        assert!(text.contains("note: a note"));
+        assert!(text.contains("2 file(s) scanned, 1 finding(s) (1 suppressed, 1 baselined)"));
     }
 
     #[test]

@@ -13,17 +13,13 @@ use crate::lexer::{split_lines, Line};
 /// The stable identifier of a lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// Allocation inside a `// lint:hot-path` region: the steady-state
-    /// loop's zero-allocation guarantee (PR 3), proven statically.
+    /// Allocation written inside a `// lint:hot-path` region: the
+    /// source-level half of the steady-state loop's zero-allocation
+    /// guarantee, which `tests/steady_state_allocations.rs` measures.
     HotPathAlloc,
     /// A malformed lint directive (unknown rule in `lint:allow`,
     /// missing reason string). Not suppressible.
     Directive,
-    /// A call inside a `// lint:hot-path` region whose workspace
-    /// callee allocates (directly or transitively) — the allocation
-    /// one frame down that the per-line `hot-path-alloc` needles
-    /// cannot see.
-    HotPathCallAlloc,
 }
 
 impl RuleId {
@@ -34,7 +30,6 @@ impl RuleId {
         match self {
             RuleId::HotPathAlloc => "hot-path-alloc",
             RuleId::Directive => "lint-directive",
-            RuleId::HotPathCallAlloc => "hot-path-call-alloc",
         }
     }
 
@@ -53,23 +48,7 @@ impl RuleId {
 }
 
 /// Every rule, in catalog order.
-pub const ALL_RULES: [RuleId; 3] = [
-    RuleId::HotPathAlloc,
-    RuleId::HotPathCallAlloc,
-    RuleId::Directive,
-];
-
-/// One hop of a witness call chain attached to a flow finding:
-/// "from here, the next call toward the sink".
-#[derive(Debug, Clone)]
-pub struct WitnessHop {
-    /// What happens at this hop (a call, or the sink itself).
-    pub what: String,
-    /// Workspace-relative path of the hop.
-    pub file: String,
-    /// 1-based line of the call (or sink token).
-    pub line: usize,
-}
+pub const ALL_RULES: [RuleId; 2] = [RuleId::HotPathAlloc, RuleId::Directive];
 
 /// One diagnostic produced by the analysis.
 #[derive(Debug, Clone)]
@@ -86,17 +65,13 @@ pub struct Finding {
     pub suppressed: bool,
     /// The mandatory reason string of the covering directive.
     pub reason: Option<String>,
-    /// For flow findings: the call chain from the reported site to
-    /// the sink, one hop per entry (the last entry is the sink).
-    /// Empty for per-file findings.
-    pub witness: Vec<WitnessHop>,
     /// `true` if a `--baseline` file contains this finding — it stays
     /// visible in reports but does not fail the gate.
     pub baselined: bool,
 }
 
 impl Finding {
-    /// A live (unsuppressed, unbaselined) finding with no witness.
+    /// A live (unsuppressed, unbaselined) finding.
     #[must_use]
     pub fn new(rule: RuleId, file: &str, line: usize, message: String) -> Finding {
         Finding {
@@ -106,21 +81,20 @@ impl Finding {
             message,
             suppressed: false,
             reason: None,
-            witness: Vec::new(),
             baselined: false,
         }
     }
 }
 
 /// A token the scanner searches for, with identifier-boundary flags.
-pub(crate) struct Needle {
-    pub(crate) pat: &'static str,
+struct Needle {
+    pat: &'static str,
     /// Require a non-identifier char (or start of line) before the
     /// match.
     bound_left: bool,
     /// Require a non-identifier char (or end of line) after the match.
     bound_right: bool,
-    pub(crate) msg: &'static str,
+    msg: &'static str,
 }
 
 const fn needle(
@@ -137,7 +111,7 @@ const fn needle(
     }
 }
 
-pub(crate) const HOT_ALLOC_NEEDLES: &[Needle] = &[
+const HOT_ALLOC_NEEDLES: &[Needle] = &[
     needle(
         "Vec::new",
         true,
@@ -201,21 +175,12 @@ pub(crate) const HOT_ALLOC_NEEDLES: &[Needle] = &[
     ),
 ];
 
-/// Extracts the crate directory name from a workspace-relative path
-/// (`crates/<name>/src/...`), if the path is a crate source file.
-#[must_use]
-pub(crate) fn crate_of_path(rel: &str) -> Option<&str> {
-    let rest = rel.strip_prefix("crates/")?;
-    let (name, tail) = rest.split_once('/')?;
-    tail.starts_with("src/").then_some(name)
-}
-
 /// `true` for paths under the linter's own crate. The linter does not
 /// scan itself: its source necessarily spells out directive syntax and
 /// needle tokens in prose, and it is on no hot path. Its correctness
 /// is carried by its own unit and fixture tests instead.
 #[must_use]
-pub(crate) fn is_linter_path(rel: &str) -> bool {
+fn is_linter_path(rel: &str) -> bool {
     rel.starts_with("crates/lint/")
 }
 
@@ -250,14 +215,14 @@ pub struct Allow {
 
 /// Per-line directive state extracted before token scanning.
 #[derive(Default)]
-pub(crate) struct Directives {
+struct Directives {
     /// Valid allows, by 0-based line index.
-    pub(crate) allows: Vec<Vec<Allow>>,
+    allows: Vec<Vec<Allow>>,
     /// `lint:hot-path` region membership, by 0-based line index.
-    pub(crate) hot: Vec<bool>,
+    hot: Vec<bool>,
     /// Directive-syntax findings (unknown rule, missing reason,
     /// bad region nesting).
-    pub(crate) findings: Vec<Finding>,
+    findings: Vec<Finding>,
 }
 
 /// Parses every directive in `lines` and computes hot-region
@@ -270,7 +235,7 @@ pub(crate) struct Directives {
 /// (`// lint:hot-path — rationale...`): a mid-sentence mention of the
 /// syntax in prose is inert, so documentation can discuss directives
 /// without triggering them.
-pub(crate) fn parse_directives(file: &str, lines: &[Line]) -> Directives {
+fn parse_directives(file: &str, lines: &[Line]) -> Directives {
     let mut d = Directives {
         allows: vec![Vec::new(); lines.len()],
         hot: vec![false; lines.len()],
@@ -392,7 +357,7 @@ fn directive_error(file: &str, idx: usize, msg: &str) -> Finding {
 /// possibly after further attributes (rustfmt spreads a long one such
 /// as `#[expect(\n    lint,\n    reason = "…"\n)]` over several lines);
 /// the region ends when the brace depth returns to the module's level.
-pub(crate) fn mark_test_lines(lines: &[Line]) -> Vec<bool> {
+fn mark_test_lines(lines: &[Line]) -> Vec<bool> {
     let mut is_test = vec![false; lines.len()];
     let mut depth: i32 = 0;
     let mut pending_attr = false;
@@ -471,7 +436,7 @@ fn matches_at(hay: &[u8], i: usize, n: &Needle) -> bool {
 /// Scans one line's code shadow for every needle in `set`, invoking
 /// `hit` once per distinct needle that matches (one finding per
 /// needle per line keeps diagnostics readable).
-pub(crate) fn scan_needles(code: &str, set: &[Needle], mut hit: impl FnMut(&Needle)) {
+fn scan_needles(code: &str, set: &[Needle], mut hit: impl FnMut(&Needle)) {
     let hay = code.as_bytes();
     for n in set {
         if (0..hay.len()).any(|i| matches_at(hay, i, n)) {

@@ -1,7 +1,6 @@
-//! Per-rule fixture coverage for the per-file rules: each has a
-//! violating fixture that must produce unsuppressed findings (so the
-//! binary would exit nonzero on it) and a clean twin that must produce
-//! none. The flow rule has its own in `flow_fixtures_test.rs`.
+//! Per-rule fixture coverage: each rule has a violating fixture that
+//! must produce unsuppressed findings (so the binary would exit
+//! nonzero on it) and a clean twin that must produce none.
 
 use mobic_lint::{rules_for_path, scan_source, Finding, RuleId};
 
@@ -125,7 +124,6 @@ fn violating_fixtures_would_exit_nonzero() {
             "crates/geom/src/fixture.rs",
         ),
         files_scanned: 1,
-        functions: 0,
         notes: vec![],
     };
     assert!(!bad.is_clean());
@@ -136,7 +134,6 @@ fn violating_fixtures_would_exit_nonzero() {
             "crates/geom/src/fixture.rs",
         ),
         files_scanned: 1,
-        functions: 0,
         notes: vec![],
     };
     assert!(clean.is_clean());

@@ -60,16 +60,11 @@ fn live_workspace_is_clean() {
     let live: Vec<_> = analysis.findings.iter().filter(|f| !f.suppressed).collect();
     assert!(
         live.is_empty(),
-        "the workspace must lint clean (flow rule included); unsuppressed findings:\n{live:#?}"
+        "the workspace must lint clean; unsuppressed findings:\n{live:#?}"
     );
     assert!(
         analysis.files_scanned > 50,
         "scan actually covered the tree"
-    );
-    assert!(
-        analysis.functions > 100,
-        "the call graph actually extracted the workspace ({} functions)",
-        analysis.functions
     );
 }
 
@@ -79,7 +74,7 @@ fn baseline_diffing_masks_old_findings_only() {
     // nothing, and a fabricated "old finding" entry is surfaced as a
     // stale note rather than silently accepted.
     let root = workspace_root();
-    let (mut analysis, _) = mobic_lint::analyze_workspace(&root).expect("workspace scans");
+    let mut analysis = mobic_lint::scan_workspace(&root).expect("workspace scans");
     let baseline = mobic_lint::baseline::parse(
         "{\"version\":1,\"findings\":[{\"rule\":\"hot-path-alloc\",\
          \"file\":\"crates/net/src/gone.rs\",\"message\":\"fixed long ago\"}]}",

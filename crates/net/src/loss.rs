@@ -253,9 +253,9 @@ fn link_state(links: &mut Vec<Vec<(NodeId, bool)>>, tx: NodeId, rx: NodeId) -> &
     &mut row[k].1
 }
 
-// lint:cold-path: the row table grows only when a transmitter id is
-// first seen, at most once per id per run
-/// Extends the row table with empty rows up to and including row `t`.
+/// Extends the row table with empty rows up to and including row `t`:
+/// it grows only when a transmitter id is first seen, at most once
+/// per id per run.
 fn add_rows(links: &mut Vec<Vec<(NodeId, bool)>>, t: usize) {
     links.resize_with(t + 1, Vec::new);
 }

@@ -235,11 +235,9 @@ impl<P> NeighborTable<P> {
         len - kept
     }
 
-    // lint:cold-path: Vec-returning expiry variant used off the hot loop
-    // (diagnostics and tests); the hot loop calls the allocation-free
-    // expire_count instead
     /// Removes entries whose last hello is older than the timeout
-    /// relative to `now`, returning the expired neighbor ids.
+    /// relative to `now`, returning the expired neighbor ids. The event
+    /// loop calls the allocation-free [`expire_count`](Self::expire_count).
     pub fn expire(&mut self, now: SimTime) -> Vec<NodeId> {
         let mut dead = Vec::new();
         self.retain_live(now, |id| dead.push(id));

@@ -695,6 +695,9 @@ impl ScenarioConfig {
                     value: exponent,
                 })
             }
+            PropagationKind::LogDistance { exponent } if exponent > MAX_PATH_LOSS_EXPONENT => {
+                return Err(PathLossOverflow { exponent })
+            }
             PropagationKind::ShadowedFreeSpace { sigma_db }
                 if !(sigma_db >= 0.0 && sigma_db.is_finite()) =>
             {
@@ -753,7 +756,7 @@ impl ScenarioConfig {
                     value: 0.0,
                 });
             }
-            if fp.deaf_spells + fp.mute_spells > 0 && fp.spell_s == 0.0 {
+            if (fp.deaf_spells > 0 || fp.mute_spells > 0) && fp.spell_s == 0.0 {
                 return Err(NonPositive {
                     field: "faults.spell_s",
                     value: 0.0,
@@ -913,6 +916,11 @@ impl ScenarioConfig {
 /// with it a sweep service's every worker) on a failed allocation.
 pub const MEMORY_BUDGET_BYTES: u64 = 4 << 30;
 
+/// The largest log-distance exponent whose path-loss slope in dB,
+/// `10·exponent` per decade, is finite. Past it the loss at the
+/// reference distance is `∞·0`, which is NaN.
+const MAX_PATH_LOSS_EXPONENT: f64 = f64::MAX / 10.0;
+
 /// Half the simulation clock's range, in microseconds. Every time
 /// field must round to less, so that an instant of the run plus any
 /// configured delay still fits the clock.
@@ -971,6 +979,12 @@ pub enum ConfigError {
         field: &'static str,
         /// Its value.
         value: f64,
+    },
+    /// A log-distance exponent so large that the path loss in dB
+    /// overflows.
+    PathLossOverflow {
+        /// The configured exponent.
+        exponent: f64,
     },
     /// `fast_path: On` with a stochastic propagation model — the
     /// indexed path would miss receivers beyond the nominal range.
@@ -1074,6 +1088,11 @@ impl fmt::Display for ConfigError {
             ConfigError::UnitInterval { field, value } => {
                 write!(f, "{field} must lie in [0, 1], got {value}")
             }
+            ConfigError::PathLossOverflow { exponent } => write!(
+                f,
+                "propagation.exponent = {exponent:e} overflows the path loss in dB \
+                 (at most {MAX_PATH_LOSS_EXPONENT:e})"
+            ),
             ConfigError::FastPathUnsupported { propagation } => write!(
                 f,
                 "fast_path: On requires a deterministic propagation model, got {propagation:?}"
@@ -1362,6 +1381,31 @@ mod tests {
                     ..short
                 },
             ),
+            (
+                "RPGM centers drawn for 9e12 s",
+                ScenarioConfig {
+                    mobility: MobilityKind::Rpgm {
+                        groups: 4,
+                        member_radius_m: 30.0,
+                    },
+                    bi_s: 1e6,
+                    tp_s: 1e6,
+                    sim_time_s: 9e12,
+                    ..short
+                },
+            ),
+            (
+                "still RPGM centers, a 1 ms pause per leg for 1e7 s",
+                ScenarioConfig {
+                    mobility: MobilityKind::Rpgm {
+                        groups: 4,
+                        member_radius_m: 30.0,
+                    },
+                    max_speed_mps: 0.0,
+                    sim_time_s: 1e7,
+                    ..short
+                },
+            ),
         ];
         for (name, cfg) in cases {
             let err = cfg.validate().unwrap_err();
@@ -1377,6 +1421,147 @@ mod tests {
             }
             assert!(err.to_string().contains("memory budget"), "{name}: {err}");
         }
+    }
+
+    #[test]
+    fn validate_types_every_hostile_number() {
+        // Every numeric field, one at a time, set to each hostile
+        // value: `validate()` answers with a result, never a panic. A
+        // variant's parameter is written together with its variant, so
+        // one base reaches them all; the base's fault plan and
+        // checkpoint policy are on, so their fields are checked at all.
+        type Setter<T> = (&'static str, fn(&mut ScenarioConfig, T));
+        let floats: [Setter<f64>; 30] = [
+            ("field_w_m", |c, v| c.field_w_m = v),
+            ("field_h_m", |c, v| c.field_h_m = v),
+            ("max_speed_mps", |c, v| c.max_speed_mps = v),
+            ("min_speed_mps", |c, v| c.min_speed_mps = v),
+            ("pause_s", |c, v| c.pause_s = v),
+            ("tx_range_m", |c, v| c.tx_range_m = v),
+            ("bi_s", |c, v| c.bi_s = v),
+            ("tp_s", |c, v| c.tp_s = v),
+            ("cci_s", |c, v| c.cci_s = v),
+            ("sim_time_s", |c, v| c.sim_time_s = v),
+            ("warmup_s", |c, v| c.warmup_s = v),
+            ("history_alpha", |c, v| c.history_alpha = Some(v)),
+            ("undecided_patience_s", |c, v| c.undecided_patience_s = v),
+            ("metric_quantum", |c, v| c.metric_quantum = v),
+            ("adaptive_bi_min_s", |c, v| c.adaptive_bi_min_s = v),
+            ("packet_time_s", |c, v| c.packet_time_s = v),
+            ("mobility.epoch_s", |c, v| {
+                c.mobility = MobilityKind::RandomWalk { epoch_s: v }
+            }),
+            ("mobility.alpha", |c, v| {
+                c.mobility = MobilityKind::GaussMarkov { alpha: v }
+            }),
+            ("mobility.member_radius_m", |c, v| {
+                c.mobility = MobilityKind::Rpgm {
+                    groups: 4,
+                    member_radius_m: v,
+                }
+            }),
+            ("mobility.block_m", |c, v| {
+                c.mobility = MobilityKind::Manhattan {
+                    block_m: v,
+                    p_turn: 0.5,
+                }
+            }),
+            ("mobility.p_turn", |c, v| {
+                c.mobility = MobilityKind::Manhattan {
+                    block_m: 100.0,
+                    p_turn: v,
+                }
+            }),
+            ("propagation.exponent", |c, v| {
+                c.propagation = PropagationKind::LogDistance { exponent: v }
+            }),
+            ("propagation.sigma_db", |c, v| {
+                c.propagation = PropagationKind::ShadowedFreeSpace { sigma_db: v }
+            }),
+            ("propagation.m", |c, v| {
+                c.propagation = PropagationKind::NakagamiFreeSpace { m: v }
+            }),
+            ("loss.p", |c, v| c.loss = LossKind::Bernoulli { p: v }),
+            ("faults.recovery_after_s", |c, v| {
+                c.faults.recovery_after_s = v
+            }),
+            ("faults.spell_s", |c, v| c.faults.spell_s = v),
+            ("faults.from_s", |c, v| c.faults.from_s = v),
+            ("faults.until_s", |c, v| c.faults.until_s = v),
+            ("checkpoint.every_s", |c, v| c.checkpoint.every_s = v),
+        ];
+        let ints: [Setter<u32>; 10] = [
+            ("n_nodes", |c, v| c.n_nodes = v),
+            ("mobility.groups", |c, v| {
+                c.mobility = MobilityKind::Rpgm {
+                    groups: v,
+                    member_radius_m: 30.0,
+                }
+            }),
+            ("mobility.lanes", |c, v| {
+                c.mobility = MobilityKind::Highway {
+                    lanes: v,
+                    bidirectional: true,
+                }
+            }),
+            ("mobility.booths", |c, v| {
+                c.mobility = MobilityKind::ConferenceHall { booths: v }
+            }),
+            ("faults.crashes", |c, v| c.faults.crashes = v),
+            ("faults.recoveries", |c, v| c.faults.recoveries = v),
+            ("faults.late_joins", |c, v| c.faults.late_joins = v),
+            ("faults.deaf_spells", |c, v| c.faults.deaf_spells = v),
+            ("faults.mute_spells", |c, v| c.faults.mute_spells = v),
+            ("checkpoint.keep", |c, v| c.checkpoint.keep = v),
+        ];
+        let base = ScenarioConfig {
+            faults: FaultPlan {
+                crashes: 1,
+                recoveries: 1,
+                late_joins: 1,
+                deaf_spells: 1,
+                mute_spells: 1,
+                ..FaultPlan::default()
+            },
+            checkpoint: CheckpointPolicy {
+                every_s: 10.0,
+                keep: 2,
+            },
+            ..ScenarioConfig::paper_table1()
+        };
+        assert_eq!(base.validate(), Ok(()));
+        let hostile_floats = [
+            0.0,
+            -1.0,
+            5e-324,
+            1e-300,
+            1e308,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let hostile_ints = [0, 1, 1 << 20, u32::MAX];
+        let mut panicked = Vec::new();
+        let mut check = |field: &str, value: String, cfg: ScenarioConfig| {
+            if std::panic::catch_unwind(|| cfg.validate()).is_err() {
+                panicked.push(format!("{field} = {value}"));
+            }
+        };
+        for (field, set) in floats {
+            for v in hostile_floats {
+                let mut cfg = base;
+                set(&mut cfg, v);
+                check(field, format!("{v:e}"), cfg);
+            }
+        }
+        for (field, set) in ints {
+            for v in hostile_ints {
+                let mut cfg = base;
+                set(&mut cfg, v);
+                check(field, v.to_string(), cfg);
+            }
+        }
+        assert!(panicked.is_empty(), "validate() panicked on {panicked:?}");
     }
 
     #[test]
@@ -1400,8 +1585,18 @@ mod tests {
             sim_time_s: 200.0,
             ..ScenarioConfig::paper_table1()
         };
-        for cfg in [stretch, sparse] {
-            assert_eq!(cfg.validate(), Ok(()), "{} nodes", cfg.n_nodes);
+        // Still RPGM centers for Table 1's 900 s: a 1 ms pause per
+        // leg, about 43 MB of legs per group.
+        let still_rpgm = ScenarioConfig {
+            mobility: MobilityKind::Rpgm {
+                groups: 4,
+                member_radius_m: 30.0,
+            },
+            max_speed_mps: 0.0,
+            ..ScenarioConfig::paper_table1()
+        };
+        for cfg in [stretch, sparse, still_rpgm] {
+            assert_eq!(cfg.validate(), Ok(()), "{cfg:?}");
         }
         // The stretch cell leaves room for a few times its population.
         let (_, cell_m) = crate::runner::index_radii(&stretch).expect("an indexed run");
@@ -1510,6 +1705,13 @@ mod tests {
         let mut c = ScenarioConfig::paper_table1();
         c.field_w_m = f64::INFINITY;
         assert!(c.validate().is_err());
+        // A finite exponent whose dB slope is not: the loss at the
+        // reference distance would be ∞·0.
+        let mut c = ScenarioConfig::paper_table1();
+        c.propagation = PropagationKind::LogDistance { exponent: 1e308 };
+        let err = c.validate().unwrap_err();
+        assert_eq!(err, ConfigError::PathLossOverflow { exponent: 1e308 });
+        assert!(err.to_string().contains("propagation.exponent"), "{err}");
     }
 
     #[test]
@@ -1798,6 +2000,15 @@ mod tests {
         let mut c = base;
         c.faults.spell_s = 0.0;
         assert_eq!(c.validate(), Ok(()));
+        // Spell counts whose sum overflows `u32`: the budget refuses
+        // them, with no overflow on the way.
+        let mut c = base;
+        c.faults.deaf_spells = u32::MAX;
+        c.faults.mute_spells = u32::MAX;
+        assert!(matches!(
+            c.validate(),
+            Err(ConfigError::OverMemoryBudget { .. })
+        ));
         assert!(ConfigError::FaultWindowEmpty {
             from: 5.0,
             until: 4.0

@@ -62,7 +62,7 @@ use mobic_geom::{GridIndex, Rect, Vec2};
 use mobic_metrics::{TimeSeries, TransitionLog};
 use mobic_mobility::{
     ConferenceHall, ConferenceHallParams, Fleet, GaussMarkov, GaussMarkovParams, Highway,
-    HighwayParams, Manhattan, ManhattanParams, Mobility, RandomWalk, RandomWalkParams,
+    HighwayParams, Leg, Manhattan, ManhattanParams, Mobility, RandomWalk, RandomWalkParams,
     RandomWaypoint, RandomWaypointParams, RpgmGroup, RpgmParams, Stationary,
 };
 use mobic_net::{loss, loss::LossModel, Delivery, DeliveryEngine, Hello, NodeId, Scratch};
@@ -777,7 +777,7 @@ const MODEL_BYTES: usize = 512;
 ///   entries and, with the index, its copy of the position;
 /// * a queue slot per planned fault, and the sampler's;
 /// * the mobility models' shared state: each conference attendee's
-///   copy of the booth list, each RPGM group;
+///   copy of the booth list, each RPGM group with its center's legs;
 /// * the three series sampled once per broadcast interval;
 /// * the index's cells.
 ///
@@ -809,7 +809,8 @@ pub(crate) fn upfront_bytes(cfg: &ScenarioConfig, grid_cells: usize) -> u64 {
             .saturating_mul(size_of::<Vec2>() as u64)
             .saturating_mul(n + 1),
         MobilityKind::Rpgm { groups, .. } => {
-            u64::from(groups).saturating_mul(size_of::<RpgmGroup>() as u64)
+            let legs = rpgm_center_legs(cfg).saturating_mul(size_of::<Leg>() as u64);
+            u64::from(groups).saturating_mul((size_of::<RpgmGroup>() as u64).saturating_add(legs))
         }
         _ => 0,
     };
@@ -825,6 +826,34 @@ pub(crate) fn upfront_bytes(cfg: &ScenarioConfig, grid_cells: usize) -> u64 {
     ]
     .into_iter()
     .fold(0, u64::saturating_add)
+}
+
+/// The legs [`RpgmGroup::new`] draws for one group center up to the
+/// run's horizon, an estimate from above of their expected number.
+/// Each round of the generator is a pause and a move; a move between
+/// two uniform points is on average at least a third of the field's
+/// longer side long, and no faster than the top speed. A round that
+/// adds no time, as a still center's does, adds the generator's 1 ms
+/// pause instead.
+fn rpgm_center_legs(cfg: &ScenarioConfig) -> u64 {
+    let pause_s = SimTime::from_secs_f64(cfg.pause_s).as_secs_f64();
+    let move_s = if cfg.max_speed_mps > 0.0 {
+        cfg.field_w_m.max(cfg.field_h_m) / 3.0 / cfg.max_speed_mps
+    } else {
+        0.0
+    };
+    let (round_s, legs_per_round) = if pause_s + move_s < 1e-6 {
+        (1e-3, 1)
+    } else if pause_s > 0.0 {
+        (pause_s + move_s, 2)
+    } else {
+        (move_s, 1)
+    };
+    let horizon_s = cfg.sim_time_s + 2.0 * cfg.bi_s;
+    // The float-to-integer cast saturates.
+    ((horizon_s / round_s) as u64)
+        .saturating_add(1)
+        .saturating_mul(legs_per_round)
 }
 
 /// A reception withheld from the neighbor table while its vulnerable
@@ -845,8 +874,8 @@ pub(crate) struct PendingRx {
 /// so an n = 1M run does not pre-commit `O(n)` memory for buffers
 /// whose steady-state occupancy is the neighborhood size. At
 /// paper scales (n ≤ 4096) pre-sizing is exact and the loop never
-/// allocates, preserving PR 3's zero-alloc guarantee as measured by
-/// `bench_hotpath`.
+/// allocates for them, as `tests/steady_state_allocations.rs`
+/// measures.
 const SCRATCH_PRESIZE_MAX: usize = 4096;
 
 /// A read-only view of the simulation state handed to observers at
@@ -1562,8 +1591,8 @@ impl<'a> Runner<'a> {
     // lint:hot-path — the steady-state hello arm: after warmup the
     // event loop is almost exclusively `hello` and the stages below it;
     // every per-event `Vec` lives in `scratch` (the zero-alloc
-    // guarantee, proven statically here and dynamically by
-    // `bench_hotpath`).
+    // guarantee: mobic-lint reads this region's source, and
+    // `tests/steady_state_allocations.rs` measures it).
 
     /// Node `tx` broadcasts its hello (§3.2): expire, stamp `M`,
     /// deliver, then elect; returns its next hello.

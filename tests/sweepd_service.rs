@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use mobic::core::AlgorithmKind;
-use mobic::scenario::{run_cell, ScenarioConfig, Supervision, SweepSpec};
+use mobic::scenario::{run_cell, PropagationKind, ScenarioConfig, Supervision, SweepSpec};
 use mobic::sweepd::http::request;
 use mobic::sweepd::{Server, ServerConfig};
 
@@ -381,8 +381,25 @@ fn oversized_and_stalled_clients_cannot_wedge_the_service() {
     assert_eq!(code, 400, "{body}");
     assert!(body.contains("131072 runs"), "{body}");
 
-    // The service is still healthy after all three abuses, and the
-    // refused spec queued nothing.
+    // A log-distance exponent whose path loss in dB overflows: the
+    // range solver would meet ∞·0 = NaN while validating, outside any
+    // worker's panic isolation.
+    let spec = SweepSpec {
+        base: ScenarioConfig {
+            propagation: PropagationKind::LogDistance { exponent: 1e308 },
+            ..tiny_base()
+        },
+        tx_values: vec![150.0],
+        algorithms: vec![AlgorithmKind::Lcc],
+        seeds: 1,
+        fault_panic_attempts: 0,
+    };
+    let (code, body) = request(&addr, "POST", "/sweep", &spec.to_json()).expect("submit");
+    assert_eq!(code, 400, "{body}");
+    assert!(body.contains("propagation.exponent"), "{body}");
+
+    // The service is still healthy after all four abuses, and the
+    // refused specs queued nothing.
     let status = status_json(&addr);
     assert_eq!(
         status["draining"],
